@@ -1,21 +1,8 @@
-"""Kernel backend selection at import time.
+"""The signature-rule kernel module under its stable name `kernels`."""
 
-Prefers the compiled extension; falls back to the pure-Python twin when the
-extension is missing or when AFFSAT_PURE_PYTHON is set (useful for the
-benchmark and for debugging).
-"""
-
-import os
-
-if os.environ.get("AFFSAT_PURE_PYTHON"):
-    from . import _kernels_py as kernels
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as kernels
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    """Which kernel implementation is active: "cython" or "python"."""
+    """Which kernel implementation is active; always "python"."""
     return kernels.IMPL

@@ -1,9 +1,8 @@
 """Pure-Python signature-rule kernels for residued partitions.
 
-This is the fallback for the compiled module affsat._kernels; the two must
-implement exactly the same contract.  A partition is a tuple of weakly
-decreasing positive ints (canonical: no trailing zeros), a cell (row, col)
-is 1-based, and its residue is (col - row + charge) mod n.
+A partition is a tuple of weakly decreasing positive ints (canonical: no
+trailing zeros), a cell (row, col) is 1-based, and its residue is
+(col - row + charge) mod n.
 
 The signature scan enumerates addable and removable cells by increasing row,
 cancels addable-then-removable adjacencies per residue (parenthesis matching

@@ -115,10 +115,20 @@ class Weight:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Weight":
+        """Weight from {"n": int, "w": [int, ...], "c": [int, ...]}; booleans,
+        floats and strings are rejected rather than coerced."""
         try:
-            return cls(int(obj["n"]), tuple(obj["w"]), tuple(obj["c"]))
+            n, w, c = obj["n"], obj["w"], obj["c"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed weight JSON: {obj!r}") from exc
+        if type(n) is int and type(w) is list and type(c) is list:
+            for x in w + c:
+                if type(x) is not int:
+                    break
+            else:
+                return cls(n, tuple(w), tuple(c))
+        raise DomainError(f"malformed weight JSON: {obj!r}: n and the entries of "
+                          f"the lists w and c must be integers")
 
     def __repr__(self):
         return f"Weight(n={self.n}, w={list(self.w)}, c={list(self.c)})"

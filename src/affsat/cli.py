@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -167,13 +168,17 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: Optional[str], *,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "payload": doc,
     }
+    tmp = None
     try:
         root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry))
+        fd, tmp = tempfile.mkstemp(dir=root, prefix=f"{key}.", suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(entry))
         os.replace(tmp, path)
     except OSError as exc:
         print(f"affsat: cache write failed ({exc}); continuing without store", file=sys.stderr)
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
     return doc
 
 
@@ -237,6 +242,8 @@ def _cmd_branch(args) -> tuple[str, int]:
     mu = _resolve_mu(args, lam)
     if args.i is None:
         raise DomainError("branch requires a residue: pass -i")
+    if not 0 <= args.i < lam.n:
+        raise DomainError(f"-i must be a residue in 0..{lam.n - 1}, got {args.i}")
     rows = satake.sheaf_multiplicity_table(lam, mu, args.i)
     if args.format == "tsv":
         out = ["k\tkappa_prime\tpairing\tmultiplicity"]
@@ -381,6 +388,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.node_cap < 1:
+            raise DomainError(f"--node-cap must be at least 1, got {args.node_cap}")
         doc, code = _HANDLERS[args.command](args)
     except (RankError, DomainError, IncomparableWeightsError) as exc:
         print(f"affsat: {exc}", file=sys.stderr)

@@ -13,18 +13,15 @@ the level-1 rule in affsat.fock.
 
 Truncation is exact: lowering coefficients only ever grow along f-edges, so
 the breadth-first closure under all f_i within a componentwise budget misses
-nothing at the weights it covers.
-
-Generation may expand frontiers with a thread pool; results are a
-deterministic function of (lambda, budget) regardless of worker count, and a
-finished graph is immutable for all practical purposes and safe to share.
+nothing at the weights it covers.  Results are a deterministic function of
+(lambda, budget), and a finished graph is immutable for all practical
+purposes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
@@ -87,49 +84,39 @@ class TensorEpsPhi:
     position_e: Optional[int]
 
 
-class _TableCache:
-    """Memo of per-factor signature tables, keyed by (charge, parts)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.data: dict[Factor, tuple] = {}
-
-    def get(self, factor: Factor):
-        table = self.data.get(factor)
-        if table is None:
-            charge, parts = factor
-            table = kernels.signature_scan(parts, charge, self.n)
-            self.data[factor] = table
-        return table
-
-
-def _scan_word(word: Word, i: int, cache: _TableCache):
+def _scan_word(word: Word, i: int, n: int, tables: dict):
     """Signature rule across the word at residue i.
 
+    tables memoizes the per-factor signature scan, keyed by (charge, parts).
     Returns (eps, phi, pos_f, pos_e, add_row, rem_row) where pos_* are the
     factor indices where lowering / raising act (-1 when undefined) and
     *_row the good rows inside those factors.
     """
-    return kernels.word_scan([cache.get(factor) for factor in word], i)
+    scans = []
+    for factor in word:
+        table = tables.get(factor)
+        if table is None:
+            table = tables[factor] = kernels.signature_scan(factor[1], factor[0], n)
+        scans.append(table)
+    return kernels.word_scan(scans, i)
 
 
 def tensor_eps_phi(node: CrystalNode, i: int) -> TensorEpsPhi:
     """Totals eps_i, phi_i of a word and where f_i / e_i would act."""
-    cache = _TableCache(node.n)
-    eps, phi, pos_f, pos_e, _, _ = _scan_word(node.word, i % node.n, cache)
+    eps, phi, pos_f, pos_e, _, _ = _scan_word(node.word, i % node.n, node.n, {})
     return TensorEpsPhi(eps, phi, pos_f if pos_f >= 0 else None, pos_e if pos_e >= 0 else None)
 
 
-def _word_lower(word: Word, i: int, cache: _TableCache) -> Optional[Word]:
-    _, phi, pos_f, _, add_row, _ = _scan_word(word, i, cache)
+def _word_lower(word: Word, i: int, n: int, tables: dict) -> Optional[Word]:
+    _, phi, pos_f, _, add_row, _ = _scan_word(word, i, n, tables)
     if phi == 0:
         return None
     charge, parts = word[pos_f]
     return word[:pos_f] + ((charge, kernels.add_cell(parts, add_row)),) + word[pos_f + 1 :]
 
 
-def _word_raise(word: Word, i: int, cache: _TableCache) -> Optional[Word]:
-    eps, _, _, pos_e, _, rem_row = _scan_word(word, i, cache)
+def _word_raise(word: Word, i: int, n: int, tables: dict) -> Optional[Word]:
+    eps, _, _, pos_e, _, rem_row = _scan_word(word, i, n, tables)
     if eps == 0:
         return None
     charge, parts = word[pos_e]
@@ -140,9 +127,8 @@ def apply_tensor_operator(node: CrystalNode, i: int, direction: str) -> Optional
     """Word-level f_i / e_i; None at a string end."""
     if direction not in ("lower", "raise"):
         raise DomainError(f'direction must be "lower" or "raise", got {direction!r}')
-    cache = _TableCache(node.n)
     op = _word_lower if direction == "lower" else _word_raise
-    word = op(node.word, i % node.n, cache)
+    word = op(node.word, i % node.n, node.n, {})
     return None if word is None else CrystalNode(node.n, word)
 
 
@@ -183,11 +169,11 @@ class CrystalGraph:
 
     def singular_node_ids(self, i: Optional[int] = None) -> list[int]:
         """Nodes killed by e_i (or by every e_j when i is None)."""
-        cache = _TableCache(self.n)
+        tables: dict = {}
         out = []
         residues = range(self.n) if i is None else (i % self.n,)
         for node_id, word in enumerate(self.words):
-            if all(_scan_word(word, j, cache)[0] == 0 for j in residues):
+            if all(_scan_word(word, j, self.n, tables)[0] == 0 for j in residues):
                 out.append(node_id)
         return out
 
@@ -223,23 +209,6 @@ class CrystalGraph:
     def canonical_digest(self) -> str:
         return hashlib.sha256(self.to_json_str().encode()).hexdigest()
 
-    def to_dot(self) -> str:
-        palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
-                   "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
-        order = self._canonical_order()
-        relabel = {old: new for new, old in enumerate(order)}
-        lines = ["digraph crystal {", "  rankdir=TB;"]
-        for new, old in enumerate(order):
-            wt = self.weight_of(old)
-            lines.append(f'  n{new} [label="c={list(wt.c)}"];')
-        for (a, i), b in sorted(self.edges.items(), key=lambda kv: (relabel[kv[0][0]], kv[0][1])):
-            color = palette[i % len(palette)]
-            lines.append(
-                f'  n{relabel[a]} -> n{relabel[b]} [label="{i}", color="{color}"];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -259,19 +228,17 @@ def _require_dominant(lam: Weight) -> None:
         raise DomainError(f"highest weight must be dominant: {lam!r} has pairings {lam.pairings()}")
 
 
-def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP,
-                     workers: int = 1) -> CrystalGraph:
+def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -> CrystalGraph:
     """Breadth-first closure of the highest-weight word under all f_i within budget.
 
-    The node set and edge map depend only on (lambda, budget); worker count
-    affects scheduling, never results.  Exceeding node_cap raises
-    ResourceCapError naming the cap.
+    The node set and edge map depend only on (lambda, budget).  Exceeding
+    node_cap raises ResourceCapError naming the cap.
     """
     _require_dominant(lam)
     n = lam.n
     budget = _validate_budget(n, budget)
     charges = canonical_charges(lam)
-    cache = _TableCache(n)
+    tables: dict[Factor, tuple] = {}
 
     hw: Word = tuple((ch, ()) for ch in charges)
     zero = (0,) * n
@@ -280,46 +247,27 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP,
     index: dict[Word, int] = {hw: 0}
     edges: dict[tuple[int, int], int] = {}
 
-    table_data = cache.data
-
-    def expand(node_id: int):
-        return kernels.expand_node(words[node_id], cvecs[node_id], budget, n, table_data)
-
     frontier = [0]
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            if pool is not None:
-                per_node = pool.map(expand, frontier, chunksize=64)
-                flat = [
-                    (parent_id, i, child, cc)
-                    for parent_id, children in zip(frontier, per_node)
-                    for i, child, cc in children
-                ]
-            else:
-                flat = kernels.expand_level(words, cvecs, frontier, budget, n, table_data)
-            next_frontier = []
-            for parent_id, i, child, cc in flat:
-                child_id = index.get(child)
-                if child_id is None:
-                    child_id = len(words)
-                    if child_id >= node_cap:
-                        raise ResourceCapError(node_cap, budget, child_id + 1)
-                    index[child] = child_id
-                    words.append(child)
-                    cvecs.append(cc)
-                    next_frontier.append(child_id)
-                edges[(parent_id, i)] = child_id
-            frontier = next_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while frontier:
+        next_frontier = []
+        flat = kernels.expand_level(words, cvecs, frontier, budget, n, tables)
+        for parent_id, i, child, cc in flat:
+            child_id = index.get(child)
+            if child_id is None:
+                child_id = len(words)
+                if child_id >= node_cap:
+                    raise ResourceCapError(node_cap, budget, child_id + 1)
+                index[child] = child_id
+                words.append(child)
+                cvecs.append(cc)
+                next_frontier.append(child_id)
+            edges[(parent_id, i)] = child_id
+        frontier = next_frontier
 
     return CrystalGraph(lam, budget, charges, words, cvecs, edges)
 
 
-def weight_multiplicity(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE_CAP,
-                        workers: int = 1) -> int:
+def weight_multiplicity(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE_CAP) -> int:
     """dim of the mu weight space of the highest-weight module for lambda.
 
     Counts crystal nodes of weight mu in the graph truncated exactly at the
@@ -329,12 +277,12 @@ def weight_multiplicity(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE
     u = lowering_vector(lam, mu)
     if u is None or any(x < 0 for x in u):
         return 0
-    graph = generate_crystal(lam, u, node_cap=node_cap, workers=workers)
+    graph = generate_crystal(lam, u, node_cap=node_cap)
     return graph.weight_counts().get(u, 0)
 
 
-def levi_branching(lam: Weight, mu: Weight, i: int, *, node_cap: int = DEFAULT_NODE_CAP,
-                   workers: int = 1) -> dict[int, int]:
+def levi_branching(lam: Weight, mu: Weight, i: int, *,
+                   node_cap: int = DEFAULT_NODE_CAP) -> dict[int, int]:
     """Multiplicities of the rank-1 restriction at node i.
 
     m_k counts nodes of weight mu + k alpha_i killed by e_i.  The same table
@@ -347,15 +295,15 @@ def levi_branching(lam: Weight, mu: Weight, i: int, *, node_cap: int = DEFAULT_N
     u = lowering_vector(lam, mu)
     if u is None or any(x < 0 for x in u):
         return {}
-    graph = generate_crystal(lam, u, node_cap=node_cap, workers=workers)
+    graph = generate_crystal(lam, u, node_cap=node_cap)
     counts = graph.weight_counts()
-    cache = _TableCache(lam.n)
+    tables: dict = {}
 
     highest: dict[int, int] = {}
     for node_id, c in enumerate(graph.cvecs):
         k = u[i] - c[i]
         if c[:i] == u[:i] and c[i + 1 :] == u[i + 1 :] and k >= 0:
-            if _scan_word(graph.words[node_id], i, cache)[0] == 0:
+            if _scan_word(graph.words[node_id], i, lam.n, tables)[0] == 0:
                 highest[k] = highest.get(k, 0) + 1
 
     for k in range(u[i] + 1):
@@ -373,13 +321,13 @@ def levi_branching(lam: Weight, mu: Weight, i: int, *, node_cap: int = DEFAULT_N
 # -- tensor products -------------------------------------------------------
 
 
-def _tensor_pairs(lam1: Weight, lam2: Weight, budget, *, node_cap: int,
-                  workers: int) -> Iterable[tuple[Word, tuple[int, ...]]]:
+def _tensor_pairs(lam1: Weight, lam2: Weight, budget, *,
+                  node_cap: int) -> Iterable[tuple[Word, tuple[int, ...]]]:
     """All concatenated words of the truncated tensor crystal, with combined
     lowering vectors: pairs of nodes from each factor whose total stays
     within budget."""
-    g1 = generate_crystal(lam1, budget, node_cap=node_cap, workers=workers)
-    g2 = generate_crystal(lam2, budget, node_cap=node_cap, workers=workers)
+    g1 = generate_crystal(lam1, budget, node_cap=node_cap)
+    g2 = generate_crystal(lam2, budget, node_cap=node_cap)
     by_c1: dict[tuple[int, ...], list[Word]] = {}
     for word, c in zip(g1.words, g1.cvecs):
         by_c1.setdefault(c, []).append(word)
@@ -397,8 +345,7 @@ def _tensor_pairs(lam1: Weight, lam2: Weight, budget, *, node_cap: int,
 
 
 def tensor_highest_weights(lam1: Weight, lam2: Weight, budget, *,
-                           node_cap: int = DEFAULT_NODE_CAP,
-                           workers: int = 1) -> dict[Weight, int]:
+                           node_cap: int = DEFAULT_NODE_CAP) -> dict[Weight, int]:
     """Decomposition multiplicities of a two-factor tensor product within a
     truncation: scans every pair of factor nodes with combined lowering inside
     the budget and tallies the weights of words killed by all e_i."""
@@ -411,36 +358,45 @@ def tensor_highest_weights(lam1: Weight, lam2: Weight, budget, *,
     n = lam1.n
     budget = _validate_budget(n, budget)
     base = lam1 + lam2
-    cache = _TableCache(n)
+    tables: dict = {}
     out: dict[Weight, int] = {}
-    for word, total in _tensor_pairs(lam1, lam2, budget, node_cap=node_cap, workers=workers):
-        if all(_scan_word(word, i, cache)[0] == 0 for i in range(n)):
+    for word, total in _tensor_pairs(lam1, lam2, budget, node_cap=node_cap):
+        if all(_scan_word(word, i, n, tables)[0] == 0 for i in range(n)):
             kappa = Weight(n, base.w, tuple(a + b for a, b in zip(base.c, total)))
             out[kappa] = out.get(kappa, 0) + 1
     return out
 
 
-def tensor_weight_multiplicity(lam1: Weight, lam2: Weight, mu: Weight, *,
-                               node_cap: int = DEFAULT_NODE_CAP,
-                               workers: int = 1) -> int:
-    """Weight multiplicity in the tensor product, as a sum over splittings
-    mu = mu1 + mu2 of products of factor multiplicities."""
+def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight, *,
+                      node_cap: int = DEFAULT_NODE_CAP) -> list[tuple[tuple, tuple, int, int]]:
+    """Splittings s + rest = u of the lowering vector u of mu below
+    lam1 + lam2 with both factor multiplicities nonzero.
+
+    Returns (s, rest, mult1(s), mult2(rest)) in lexicographic order of s;
+    empty when mu is not below lam1 + lam2.
+    """
     for lam in (lam1, lam2):
         _require_dominant(lam)
     if lam1.n != lam2.n:
         raise DomainError("tensor factors must share the rank")
     u = lowering_vector(lam1 + lam2, mu)
     if u is None or any(x < 0 for x in u):
-        return 0
-    g1 = generate_crystal(lam1, u, node_cap=node_cap, workers=workers)
-    g2 = generate_crystal(lam2, u, node_cap=node_cap, workers=workers)
-    counts1 = g1.weight_counts()
-    counts2 = g2.weight_counts()
-    total = 0
+        return []
+    counts1 = generate_crystal(lam1, u, node_cap=node_cap).weight_counts()
+    counts2 = generate_crystal(lam2, u, node_cap=node_cap).weight_counts()
+    out = []
     for s in product(*(range(x + 1) for x in u)):
         m1 = counts1.get(s, 0)
-        if not m1:
-            continue
-        rest = tuple(a - b for a, b in zip(u, s))
-        total += m1 * counts2.get(rest, 0)
-    return total
+        if m1:
+            rest = tuple(a - b for a, b in zip(u, s))
+            m2 = counts2.get(rest, 0)
+            if m2:
+                out.append((s, rest, m1, m2))
+    return out
+
+
+def tensor_weight_multiplicity(lam1: Weight, lam2: Weight, mu: Weight, *,
+                               node_cap: int = DEFAULT_NODE_CAP) -> int:
+    """Weight multiplicity in the tensor product, as a sum over splittings
+    mu = mu1 + mu2 of products of factor multiplicities."""
+    return sum(m1 * m2 for _, _, m1, m2 in tensor_splittings(lam1, lam2, mu, node_cap=node_cap))

@@ -7,8 +7,8 @@ raising by e_i removes the good removable i-cell, and the weight is
 Lambda_charge minus one alpha_j per residue-j cell.  The empty partition is
 the unique highest-weight node.
 
-Good cells come from the signature rule in affsat._kernels / _kernels_py;
-see those modules for the reading-order convention.  Which convention is
+Good cells come from the signature rule in affsat._kernels_py; see that
+module for the reading-order convention.  Which convention is
 used does not matter up to isomorphism, and the test suite enforces the
 crystal axioms rather than a particular picture.
 """

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 from . import crystal
 from .cartan import Weight, lowering_vector
+from .crystal import DEFAULT_NODE_CAP
 from .errors import DomainError
 
 
@@ -56,17 +56,16 @@ def _partitions_of(size: int):
     return sorted(out)
 
 
-def fixed_point_count(lam: Weight, mu: Weight, *, node_cap: Optional[int] = None) -> int:
+def fixed_point_count(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE_CAP) -> int:
     """1 when mu is a weight of the module for lambda, else 0."""
-    kwargs = {"node_cap": node_cap} if node_cap is not None else {}
-    return 1 if crystal.weight_multiplicity(lam, mu, **kwargs) > 0 else 0
+    return 1 if crystal.weight_multiplicity(lam, mu, node_cap=node_cap) > 0 else 0
 
 
-def attracting_component_count(lam: Weight, mu: Weight, *, node_cap: Optional[int] = None) -> int:
+def attracting_component_count(lam: Weight, mu: Weight, *,
+                               node_cap: int = DEFAULT_NODE_CAP) -> int:
     """Number of attracting-set components over the fixed point: the weight
     multiplicity."""
-    kwargs = {"node_cap": node_cap} if node_cap is not None else {}
-    return crystal.weight_multiplicity(lam, mu, **kwargs)
+    return crystal.weight_multiplicity(lam, mu, node_cap=node_cap)
 
 
 def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> list[Stratum]:
@@ -100,33 +99,17 @@ def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> li
 
 
 def tensor_fixed_points(lam1: Weight, lam2: Weight, mu: Weight, *,
-                        node_cap: Optional[int] = None) -> list[tuple[Weight, Weight]]:
+                        node_cap: int = DEFAULT_NODE_CAP) -> list[tuple[Weight, Weight]]:
     """Splittings mu = mu1 + mu2 with both factor multiplicities nonzero.
 
     Nonempty exactly when mu is a weight of the tensor product.  Sorted by
     the lowering vector of mu1.
     """
-    for lam in (lam1, lam2):
-        if not lam.is_dominant():
-            raise DomainError(f"tensor factors must be dominant: {lam!r}")
-    if lam1.n != lam2.n:
-        raise DomainError("tensor factors must share the rank")
-    u = lowering_vector(lam1 + lam2, mu)
-    if u is None or any(x < 0 for x in u):
-        return []
-    kwargs = {"node_cap": node_cap} if node_cap is not None else {}
-    g1 = crystal.generate_crystal(lam1, u, **kwargs)
-    g2 = crystal.generate_crystal(lam2, u, **kwargs)
-    counts1 = g1.weight_counts()
-    counts2 = g2.weight_counts()
-    out = []
-    for s in product(*(range(x + 1) for x in u)):
-        rest = tuple(a - b for a, b in zip(u, s))
-        if counts1.get(s, 0) > 0 and counts2.get(rest, 0) > 0:
-            mu1 = Weight(lam1.n, lam1.w, tuple(a + b for a, b in zip(lam1.c, s)))
-            mu2 = Weight(lam2.n, lam2.w, tuple(a + b for a, b in zip(lam2.c, rest)))
-            out.append((mu1, mu2))
-    return out
+    return [
+        (Weight(lam1.n, lam1.w, tuple(a + b for a, b in zip(lam1.c, s))),
+         Weight(lam2.n, lam2.w, tuple(a + b for a, b in zip(lam2.c, rest))))
+        for s, rest, _, _ in crystal.tensor_splittings(lam1, lam2, mu, node_cap=node_cap)
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -124,6 +125,41 @@ def test_validation_errors(capsys):
     assert run_cli(capsys, "mult", "-n", "1", "-w", "1", "-v", "0")[0] == 2
     assert run_cli(capsys, "mult", "-n", "2", "-w", "0,0", "-v", "0,0")[0] == 2
     assert run_cli(capsys, "crystal", "-n", "2", "-w", "1,0")[0] == 2       # no budget
+    for lam in [
+        '{"n": "x", "w": [1, 0], "c": [0, 0]}',
+        '{"n": 2.0, "w": [1, 0], "c": [0, 0]}',
+        '{"n": true, "w": [1, 0], "c": [0, 0]}',
+        '{"n": 2, "w": [1, 0], "c": [true, 0]}',
+        '{"n": 2, "w": [1, 0.5], "c": [0, 0]}',
+        '{"n": 2, "w": ["1", 0], "c": [0, 0]}',
+        '{"n": 2, "w": "10", "c": [0, 0]}',
+        '{"n": 2, "w": [1, 0], "c": {"0": 0}}',
+        '{"n": 2, "w": [1, 0]}',
+        '[2, [1, 0], [0, 0]]',
+    ]:
+        code, out, err = run_cli(capsys, "mult", "--lam", lam, "-v", "0,0")
+        assert (code, out) == (2, ""), lam
+        assert len(err.splitlines()) == 1 and "malformed weight JSON" in err, lam
+
+
+def test_node_cap_must_be_positive(capsys):
+    for cap in ("0", "-1"):
+        code, out, err = run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "1",
+                                 "--node-cap", cap)
+        assert code == 2
+        assert out == ""
+        assert "--node-cap must be at least 1" in err
+    code, _, _ = run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "0",
+                         "--node-cap", "1")
+    assert code == 0
+
+
+def test_branch_residue_range(capsys):
+    for i in ("2", "5", "-1"):
+        code, out, err = run_cli(capsys, "branch", "-n", "2", "-w", "1,0", "-v", "2,2", "-i", i)
+        assert code == 2
+        assert out == ""
+        assert "0..1" in err
 
 
 def test_resource_cap_exit(capsys):
@@ -177,6 +213,26 @@ def test_cache_dir_is_file_is_validation_error(tmp_path, capsys):
                            "--cache-dir", str(blocker))
     assert code == 2
     assert "not a directory" in err
+
+
+def test_cache_concurrent_writers(tmp_path):
+    # Four writers miss on one key at once; a few rounds, as the overlap is up
+    # to the scheduler.
+    for round_no in range(5):
+        cache_dir = tmp_path / str(round_no)
+        argv = [sys.executable, "-m", "affsat", "crystal", "-n", "3", "-w", "1,1,0",
+                "--depth", "4", "--cache-dir", str(cache_dir)]
+        procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True) for _ in range(4)]
+        results = [proc.communicate(timeout=60) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * 4
+        assert [err for _, err in results] == [""] * 4
+        outs = {out for out, _ in results}
+        assert len(outs) == 1
+        [entry_path] = cache_dir.iterdir()  # no temp file left behind
+        entry = json.loads(entry_path.read_text())
+        assert hashlib.sha256(entry["payload"].encode()).hexdigest() == entry["sha256"]
+        assert entry["payload"] + "\n" == outs.pop()
 
 
 def test_env_var_cache_dir(tmp_path, monkeypatch, capsys):

@@ -18,7 +18,8 @@ from affsat import (
     tensor_weight_multiplicity,
     weight_multiplicity,
 )
-from affsat.crystal import _TableCache, _scan_word
+from affsat.cli import dot_from_graph_json
+from affsat.crystal import _scan_word
 
 from conftest import dominant_bases, lowered
 
@@ -87,11 +88,11 @@ def test_closure_within_budget():
     lam = Weight(2, (1, 1), (0, 0))
     budget = (3, 2)
     g = generate_crystal(lam, budget)
-    cache = _TableCache(2)
+    tables = {}
     for node_id, word in enumerate(g.words):
         c = g.cvecs[node_id]
         for i in range(2):
-            _, phi, _, _, _, _ = _scan_word(word, i, cache)
+            _, phi, _, _, _, _ = _scan_word(word, i, 2, tables)
             in_budget = c[i] + 1 <= budget[i]
             has_edge = (node_id, i) in g.edges
             assert has_edge == (phi > 0 and in_budget)
@@ -205,13 +206,30 @@ def test_character_product_consistency():
         assert direct == via_components
 
 
-def test_parallel_generation_deterministic():
+def test_generation_deterministic():
     lam = Weight(3, (1, 1, 0), (0, 0, 0))
-    digests = {
-        generate_crystal(lam, (3, 3, 3), workers=k).canonical_digest()
-        for k in (1, 2, 3, 4, 8)
-    }
-    assert len(digests) == 1
+    assert (generate_crystal(lam, (3, 3, 3)).canonical_digest()
+            == generate_crystal(lam, (3, 3, 3)).canonical_digest())
+
+
+# Canonical documents as of CONVENTION_ID v1; a change here invalidates caches.
+PINNED_DIGESTS = [
+    ((1, 1, 0), (4, 4, 4), 582,
+     "4668202dc303e109526f4d5afd1b130dec0becd43376cecfb8667bbb0c8c5d5e"),
+    ((2, 0), (8, 8), 498,
+     "7fbf51d221150120a6ce88f5eedb666a1723e0aa30bedfd6cb66ad86a7ab527d"),
+    ((1, 0, 0, 1), (4, 4, 4, 4), 3133,
+     "587aa7e4e1a0ac54167edd79bd98fbdb166036cd11407a0a12cd198525404aae"),
+    ((1, 1), (6, 6), 231,
+     "45f5e9036529eec1fe8e220c71b3a9ae4ac166c0c7ad6bf03fcddc558317ede3"),
+]
+
+
+@pytest.mark.parametrize("w, budget, nodes, digest", PINNED_DIGESTS)
+def test_canonical_digest_pinned(w, budget, nodes, digest):
+    g = generate_crystal(Weight(len(w), w, (0,) * len(w)), budget)
+    assert len(g) == nodes
+    assert g.canonical_digest() == digest
 
 
 def test_graph_json_schema():
@@ -233,7 +251,7 @@ def test_graph_json_schema():
 
 def test_dot_export():
     g = generate_crystal(fundamental_weight(2, 0), (1, 1))
-    dot = g.to_dot()
+    dot = dot_from_graph_json(g.to_json_obj())
     assert dot.startswith("digraph crystal {")
     assert 'label="0"' in dot and 'label="1"' in dot
     assert dot.rstrip().endswith("}")

@@ -1,78 +1,12 @@
-"""The compiled kernel and the pure-Python fallback must be interchangeable."""
+"""Properties of the signature-rule kernels, checked against cell-by-cell
+recounts."""
 
-import pytest
-from hypothesis import given, strategies as st
-
-from affsat import _kernels_py
-
-try:
-    from affsat import _kernels
-except ImportError:
-    _kernels = None
+from affsat import _kernels_py as kernels
 
 from conftest import all_partitions
 
-BACKENDS = [_kernels_py] + ([_kernels] if _kernels is not None else [])
 
-partitions = st.lists(st.integers(1, 15), max_size=10).map(
-    lambda xs: tuple(sorted(xs, reverse=True))
-)
-
-
-@pytest.mark.skipif(_kernels is None, reason="compiled kernel not built")
-def test_backends_report_distinct_impls():
-    assert _kernels_py.IMPL == "python"
-    assert _kernels.IMPL == "cython"
-
-
-@pytest.mark.skipif(_kernels is None, reason="compiled kernel not built")
-@given(parts=partitions, charge=st.integers(0, 4), n=st.integers(2, 5))
-def test_signature_scan_equivalence(parts, charge, n):
-    charge %= n
-    assert _kernels.signature_scan(parts, charge, n) == _kernels_py.signature_scan(parts, charge, n)
-
-
-@pytest.mark.skipif(_kernels is None, reason="compiled kernel not built")
-@given(parts=partitions, charge=st.integers(0, 4), n=st.integers(2, 5))
-def test_residue_counts_equivalence(parts, charge, n):
-    charge %= n
-    assert _kernels.residue_counts(parts, charge, n) == _kernels_py.residue_counts(parts, charge, n)
-
-
-words = st.lists(
-    st.tuples(st.integers(0, 2), partitions), min_size=1, max_size=3
-).map(tuple)
-
-
-@pytest.mark.skipif(_kernels is None, reason="compiled kernel not built")
-@given(word=words, n=st.integers(2, 4), i=st.integers(0, 3))
-def test_word_scan_equivalence(word, n, i):
-    i %= n
-    word = tuple((charge % n, parts) for charge, parts in word)
-    tables = [_kernels_py.signature_scan(parts, charge, n) for charge, parts in word]
-    assert _kernels.word_scan(tables, i) == _kernels_py.word_scan(tables, i)
-
-
-@pytest.mark.skipif(_kernels is None, reason="compiled kernel not built")
-@given(word=words, n=st.integers(2, 4))
-def test_expand_node_equivalence(word, n):
-    word = tuple((charge % n, parts) for charge, parts in word)
-    c = tuple(
-        sum(_kernels_py.residue_counts(parts, charge, n)[j] for charge, parts in word)
-        for j in range(n)
-    )
-    budget = tuple(x + 1 for x in c)
-    out_py = _kernels_py.expand_node(word, c, budget, n, {})
-    out_cy = _kernels.expand_node(word, c, budget, n, {})
-    assert out_py == out_cy
-    frontier_py = _kernels_py.expand_level([word], [c], [0], budget, n, {})
-    frontier_cy = _kernels.expand_level([word], [c], [0], budget, n, {})
-    assert frontier_py == frontier_cy
-    assert frontier_py == [(0, i, child, cc) for i, child, cc in out_py]
-
-
-@pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.IMPL)
-def test_residue_counts_against_cells(kernels):
+def test_residue_counts_against_cells():
     for parts in all_partitions(7):
         for n in (2, 3, 4):
             for charge in range(n):
@@ -83,8 +17,7 @@ def test_residue_counts_against_cells(kernels):
                 assert kernels.residue_counts(parts, charge, n) == tuple(counts)
 
 
-@pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.IMPL)
-def test_add_remove_cells(kernels):
+def test_add_remove_cells():
     assert kernels.add_cell((), 1) == (1,)
     assert kernels.add_cell((2, 1), 2) == (2, 2)
     assert kernels.add_cell((2, 1), 3) == (2, 1, 1)
@@ -93,8 +26,7 @@ def test_add_remove_cells(kernels):
     assert kernels.remove_cell((1,), 1) == ()
 
 
-@pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.IMPL)
-def test_scan_counts_match_boundary(kernels):
+def test_scan_counts_match_boundary():
     """phi - eps equals addables minus removables at each residue."""
     for parts in all_partitions(7):
         rows = len(parts)
