@@ -138,7 +138,7 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: Optional[str], *,
     entries are rebuilt and overwritten with a warning.  Cache write failures
     degrade to build-without-store.
     """
-    budget = tuple(int(x) for x in budget)
+    budget = crystal._validate_budget(lam.n, budget)
 
     def build() -> str:
         return crystal.generate_crystal(lam, budget, node_cap=node_cap).to_json_str()

@@ -11,6 +11,11 @@ on the factor owning the first surviving addable and raising on the factor
 owning the last surviving removable.  For a single factor this degenerates to
 the level-1 rule in affsat.fock.
 
+Tensor products follow the tensor-product rule: b1.b2 is killed by every e_i
+exactly when b1 is the highest-weight word of B(lambda1) and
+eps_i(b2) <= <lambda1, h_i> for every i.  Decomposition is therefore one pass
+over the truncated B(lambda2), the only graph built, which node_cap bounds.
+
 Truncation is exact: lowering coefficients only ever grow along f-edges, so
 the breadth-first closure under all f_i within a componentwise budget misses
 nothing at the weights it covers.  Results are a deterministic function of
@@ -24,7 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Optional
 
 from ._backend import kernels
 from .cartan import Weight, lowering_vector
@@ -215,7 +220,9 @@ def canonical_dumps(obj) -> str:
 
 
 def _validate_budget(n: int, budget) -> tuple[int, ...]:
-    budget = tuple(int(x) for x in budget)
+    budget = tuple(budget)
+    if any(type(x) is not int for x in budget):
+        raise DomainError(f"budget entries must be integers, got {budget!r}")
     if len(budget) != n:
         raise DomainError(f"budget must have length n={n}")
     if any(x < 0 for x in budget):
@@ -321,50 +328,36 @@ def levi_branching(lam: Weight, mu: Weight, i: int, *,
 # -- tensor products -------------------------------------------------------
 
 
-def _tensor_pairs(lam1: Weight, lam2: Weight, budget, *,
-                  node_cap: int) -> Iterable[tuple[Word, tuple[int, ...]]]:
-    """All concatenated words of the truncated tensor crystal, with combined
-    lowering vectors: pairs of nodes from each factor whose total stays
-    within budget."""
-    g1 = generate_crystal(lam1, budget, node_cap=node_cap)
-    g2 = generate_crystal(lam2, budget, node_cap=node_cap)
-    by_c1: dict[tuple[int, ...], list[Word]] = {}
-    for word, c in zip(g1.words, g1.cvecs):
-        by_c1.setdefault(c, []).append(word)
-    by_c2: dict[tuple[int, ...], list[Word]] = {}
-    for word, c in zip(g2.words, g2.cvecs):
-        by_c2.setdefault(c, []).append(word)
-    for c1, words1 in sorted(by_c1.items()):
-        for c2, words2 in sorted(by_c2.items()):
-            total = tuple(a + b for a, b in zip(c1, c2))
-            if any(t > b for t, b in zip(total, budget)):
-                continue
-            for w1 in words1:
-                for w2 in words2:
-                    yield w1 + w2, total
-
-
-def tensor_highest_weights(lam1: Weight, lam2: Weight, budget, *,
-                           node_cap: int = DEFAULT_NODE_CAP) -> dict[Weight, int]:
-    """Decomposition multiplicities of a two-factor tensor product within a
-    truncation: scans every pair of factor nodes with combined lowering inside
-    the budget and tallies the weights of words killed by all e_i."""
+def _require_tensor_factors(lam1: Weight, lam2: Weight) -> None:
     for lam in (lam1, lam2):
         _require_dominant(lam)
         if lam.level < 1:
             raise NoHighestWeightError("tensor factors must have level >= 1")
     if lam1.n != lam2.n:
         raise DomainError("tensor factors must share the rank")
+
+
+def tensor_highest_weights(lam1: Weight, lam2: Weight, budget, *,
+                           node_cap: int = DEFAULT_NODE_CAP) -> dict[Weight, int]:
+    """Decomposition multiplicities of lam1 (x) lam2 within a truncation.
+
+    By the tensor-product rule (Kashiwara, Duke Math. J. 63, 1991), b1.b2 is
+    killed by every e_i exactly when b1 is the highest-weight word of B(lam1)
+    and eps_i(b2) <= phi_i(b1) = <lam1, h_i> for every i, where phi_i(b1) is
+    w_i of lam1.  So this is one pass over B(lam2) truncated at the budget:
+    the only graph built, and the one node_cap bounds.
+    """
+    _require_tensor_factors(lam1, lam2)
     n = lam1.n
-    budget = _validate_budget(n, budget)
-    base = lam1 + lam2
+    graph = generate_crystal(lam2, budget, node_cap=node_cap)
     tables: dict = {}
-    out: dict[Weight, int] = {}
-    for word, total in _tensor_pairs(lam1, lam2, budget, node_cap=node_cap):
-        if all(_scan_word(word, i, n, tables)[0] == 0 for i in range(n)):
-            kappa = Weight(n, base.w, tuple(a + b for a, b in zip(base.c, total)))
-            out[kappa] = out.get(kappa, 0) + 1
-    return out
+    counts: dict[tuple[int, ...], int] = {}
+    for word, c in zip(graph.words, graph.cvecs):
+        if all(_scan_word(word, i, n, tables)[0] <= lam1.w[i] for i in range(n)):
+            counts[c] = counts.get(c, 0) + 1
+    base = lam1 + lam2
+    return {Weight(n, base.w, tuple(a + b for a, b in zip(base.c, c))): m
+            for c, m in counts.items()}
 
 
 def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight, *,
@@ -375,10 +368,7 @@ def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight, *,
     Returns (s, rest, mult1(s), mult2(rest)) in lexicographic order of s;
     empty when mu is not below lam1 + lam2.
     """
-    for lam in (lam1, lam2):
-        _require_dominant(lam)
-    if lam1.n != lam2.n:
-        raise DomainError("tensor factors must share the rank")
+    _require_tensor_factors(lam1, lam2)
     u = lowering_vector(lam1 + lam2, mu)
     if u is None or any(x < 0 for x in u):
         return []

@@ -66,10 +66,16 @@ class ChargedPartition:
 
     @classmethod
     def from_json(cls, obj: dict, n: int) -> "ChargedPartition":
+        """Partition from {"parts": [int, ...], "charge": int}, without coercion."""
         try:
-            return cls(tuple(obj["parts"]), int(obj["charge"]), n)
+            parts, charge = obj["parts"], obj["charge"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed partition JSON: {obj!r}") from exc
+        if not (type(charge) is int and type(parts) is list
+                and all(type(x) is int for x in parts)):
+            raise DomainError(f"malformed partition JSON: {obj!r}: charge and parts "
+                              f"must be integers")
+        return cls(tuple(parts), charge, n)
 
 
 @dataclass(frozen=True)

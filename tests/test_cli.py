@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from affsat.cli import main
 
 
@@ -101,6 +103,31 @@ def test_tensor_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [entry["kappa"]["c"] for entry in doc["highest_weights"]] == [[0, 0, 0], [0, 1, 1]]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("-n", "3", "--w1", "1,1,0", "--w2", "0,1,1", "--depth", "4"),
+     "b6b18fd7f7db9dfdbcb4466e11b48516d09ca258f5dd3470cec7e46ce52577c5"),
+    (("-n", "2", "--w1", "2,0", "--w2", "1,1", "--depth", "5"),
+     "3d22a46acf5bdde223ec2c9dc652b20e1f17ba68a99597877ddda215d3daa17c"),
+    (("-n", "4", "--w1", "1,0,0,0", "--w2", "0,1,0,1", "--budget", "2,1,2,1"),
+     "6ec52684e0c66137e6c25650bf3908057116202c9c3440c6d0ae3450719652ac"),
+])
+def test_tensor_output_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "tensor", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_tensor_level_zero_factor(capsys):
+    zero = '{"n": 3, "w": [0, 0, 0], "c": [0, 0, 0]}'
+    lam = '{"n": 3, "w": [0, 1, 0], "c": [0, 0, 0]}'
+    off_cone = '{"n": 3, "w": [0, 1, 0], "c": [-1, 0, 0]}'
+    for argv in [("tensor", "--depth", "1"), ("mult", "--mu", off_cone),
+                 ("fixed", "--mu", off_cone)]:
+        code, out, err = run_cli(capsys, *argv, "--lam1", lam, "--lam2", zero)
+        assert (code, out) == (2, ""), argv
+        assert "level >= 1" in err, argv
 
 
 def test_fixed_command(capsys):

@@ -5,6 +5,7 @@ import pytest
 from affsat import (
     CrystalNode,
     DomainError,
+    NoHighestWeightError,
     ResourceCapError,
     Weight,
     apply_tensor_operator,
@@ -14,6 +15,7 @@ from affsat import (
     generate_crystal,
     levi_branching,
     tensor_eps_phi,
+    tensor_fixed_points,
     tensor_highest_weights,
     tensor_weight_multiplicity,
     weight_multiplicity,
@@ -75,6 +77,9 @@ def test_generate_budget_validation():
         generate_crystal(lam, (1,))
     with pytest.raises(DomainError):
         generate_crystal(lam, (-1, 0))
+    for budget in [(1.9, True), (1.9, 0), (0, True), ("1", "0")]:
+        with pytest.raises(DomainError):
+            generate_crystal(lam, budget)
 
 
 def test_node_cap():
@@ -163,6 +168,11 @@ def test_tensor_highest_weights_level_validation():
     zero = Weight(3, (0, 0, 0), (0, 0, 0))
     with pytest.raises(DomainError):
         tensor_highest_weights(lam, zero, (1, 1, 1))
+    off_cone = lowered(lam, (-1, 0, 0))
+    for f in (tensor_weight_multiplicity, tensor_fixed_points):
+        for pair in [(lam, zero), (zero, lam)]:
+            with pytest.raises(NoHighestWeightError):
+                f(*pair, off_cone)
 
 
 def test_tensor_highest_weights_basic_square():
@@ -174,6 +184,52 @@ def test_tensor_highest_weights_basic_square():
 def test_tensor_highest_weights_order_independent():
     a, b = fundamental_weight(3, 0), fundamental_weight(3, 2)
     assert tensor_highest_weights(a, b, (1, 1, 1)) == tensor_highest_weights(b, a, (1, 1, 1))
+
+
+def _pair_scan_highest_weights(lam1, lam2, budget):
+    """Reference decomposition: concatenate the words of both truncated factor
+    graphs whose lowering vectors sum within the budget, and tally the
+    weights of the concatenations killed by every e_i."""
+    n = lam1.n
+    g1 = generate_crystal(lam1, budget)
+    g2 = generate_crystal(lam2, budget)
+    base = lam1 + lam2
+    tables = {}
+    out = {}
+    for w1, c1 in zip(g1.words, g1.cvecs):
+        for w2, c2 in zip(g2.words, g2.cvecs):
+            total = tuple(a + b for a, b in zip(c1, c2))
+            if any(t > b for t, b in zip(total, budget)):
+                continue
+            if all(_scan_word(w1 + w2, i, n, tables)[0] == 0 for i in range(n)):
+                kappa = lowered(base, total)
+                out[kappa] = out.get(kappa, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("n, max_level, budgets", [
+    (2, 2, [(1, 1), (2, 2), (3, 3), (3, 1)]),
+    (3, 2, [(1, 1, 1), (2, 2, 2), (2, 0, 1)]),
+    (4, 2, [(1, 1, 1, 1)]),
+    (4, 1, [(2, 2, 2, 2), (2, 1, 2, 1)]),
+])
+def test_tensor_highest_weights_match_pair_scan(n, max_level, budgets):
+    weights = dominant_bases(n, max_level)
+    for budget in budgets:
+        for lam1 in weights:
+            for lam2 in weights:
+                assert (tensor_highest_weights(lam1, lam2, budget)
+                        == _pair_scan_highest_weights(lam1, lam2, budget)), (lam1, lam2, budget)
+
+
+def test_tensor_highest_weights_delta_shifted_factor():
+    lam1 = Weight(3, (1, 1, 0), (1, 1, 1))  # Lambda_0 + Lambda_1 - delta
+    lam2 = Weight(3, (0, 1, 1), (0, 0, 0))
+    budget = (2, 2, 2)
+    thw = tensor_highest_weights(lam1, lam2, budget)
+    assert thw == _pair_scan_highest_weights(lam1, lam2, budget)
+    unshifted = tensor_highest_weights(Weight(3, (1, 1, 0), (0, 0, 0)), lam2, budget)
+    assert thw == {lowered(k, (1, 1, 1)): m for k, m in unshifted.items()}
 
 
 def test_tensor_weight_multiplicity_examples():

@@ -124,3 +124,11 @@ def test_partition_json():
     b = ChargedPartition((2, 1), 0, 3)
     assert b.to_json() == {"parts": [2, 1], "charge": 0}
     assert ChargedPartition.from_json({"parts": [2, 1], "charge": 0}, 3) == b
+    for obj in [
+        {"parts": [2, 1], "charge": True},
+        {"parts": [2, 1], "charge": 1.7},
+        {"parts": [2, True], "charge": 0},
+        {"parts": [2, 1], "charge": "x"},
+    ]:
+        with pytest.raises(DomainError, match="malformed partition JSON"):
+            ChargedPartition.from_json(obj, 3)
