@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -297,8 +298,7 @@ def _cmd_check(args) -> tuple[str, int]:
     counts = graph.weight_counts()
     disagreements = []
     compared = 0
-    from itertools import product as _product
-    for u in _product(*(range(b + 1) for b in budget)):
+    for u in product(*(range(b + 1) for b in budget)):
         compared += 1
         mu = Weight(lam.n, lam.w, tuple(a + b for a, b in zip(lam.c, u)))
         got = counts.get(u, 0)

@@ -1,9 +1,10 @@
 """Higher-level crystals: tensor words of charged partitions, truncated graph
 generation, weight multiplicities, Levi branching and tensor decomposition.
 
-A node of the crystal with highest weight lambda = sum w_i Lambda_i is a word
-of level(lambda) charged partitions whose charges are the canonical charge
-list of lambda (residue i repeated w_i times, increasing).  Raising and
+A node of the crystal with dominant highest weight lambda is a word of
+level(lambda) charged partitions whose charges are the canonical charge list
+of lambda (residue i repeated <lambda, h_i> times, increasing); the node's
+weight is lambda lowered by the residue counts of its cells.  Raising and
 lowering act through the signature rule over the concatenated word: each
 factor contributes its unpaired removables then its unpaired addables, blocks
 are cancelled addable-then-removable across factor boundaries, lowering acts
@@ -48,10 +49,11 @@ Word = tuple[Factor, ...]
 
 
 def canonical_charges(lam: Weight) -> tuple[int, ...]:
-    """Charge list of lambda: residue i repeated w_i times, increasing."""
-    if any(x < 0 for x in lam.w):
-        raise DomainError(f"negative w-part, no charge list: {lam!r}")
-    charges = tuple(i for i in range(lam.n) for _ in range(lam.w[i]))
+    """Charge list of lambda: residue i repeated <lambda, h_i> times, increasing."""
+    pairings = lam.pairings()
+    if any(x < 0 for x in pairings):
+        raise DomainError(f"negative pairing, no charge list: {lam!r}")
+    charges = tuple(i for i in range(lam.n) for _ in range(pairings[i]))
     if not charges:
         raise NoHighestWeightError("level-0 weight has no highest-weight crystal")
     return charges
@@ -74,9 +76,6 @@ class CrystalNode:
             for j, x in enumerate(kernels.residue_counts(parts, charge, self.n)):
                 counts[j] += x
         return tuple(counts)
-
-    def to_json(self) -> list:
-        return [{"parts": list(parts), "charge": charge} for charge, parts in self.word]
 
 
 @dataclass(frozen=True)
@@ -184,32 +183,55 @@ class CrystalGraph:
 
     # -- canonical serialization ------------------------------------------
 
-    def _canonical_order(self) -> list[int]:
-        return sorted(range(len(self.words)), key=lambda k: self.words[k])
-
     def to_json_obj(self) -> dict:
-        order = self._canonical_order()
-        relabel = {old: new for new, old in enumerate(order)}
-        nodes = []
-        for new, old in enumerate(order):
-            nodes.append({
-                "id": new,
-                "word": CrystalNode(self.n, self.words[old]).to_json(),
-                "weight": self.weight_of(old).to_json(),
-            })
-        edges = sorted(
-            ({"from": relabel[a], "i": i, "to": relabel[b]} for (a, i), b in self.edges.items()),
-            key=lambda e: (e["from"], e["i"]),
-        )
-        return {
-            "lambda": self.lam.to_json(),
-            "budget": list(self.budget),
-            "nodes": nodes,
-            "edges": edges,
-        }
+        return json.loads(self.to_json_str())
 
     def to_json_str(self) -> str:
-        return canonical_dumps(self.to_json_obj())
+        """The canonical document, written as text; the only serializer.
+
+        Nodes are numbered in increasing word order and edges sorted by
+        (from, i).  Keys are sorted at every level, as canonical_dumps
+        would write them:
+
+            {"budget":[..],"edges":[{"from":..,"i":..,"to":..},..],
+             "lambda":{"c":[..],"n":..,"w":[..]},
+             "nodes":[{"id":..,"weight":{"c":[..],"n":..,"w":[..]},
+                       "word":[{"charge":..,"parts":[..]},..]},..]}
+
+        A node's weight is lambda lowered by its cvec.
+        """
+        # The charge at each word position is the same in every word, so
+        # words order as the tuples of their factors' ranks.
+        factor_ids: dict[Factor, int] = {}
+        coded = [tuple([factor_ids.setdefault(f, len(factor_ids)) for f in word])
+                 for word in self.words]
+        factors = list(factor_ids)
+        rank = [0] * len(factors)
+        for r, k in enumerate(sorted(range(len(factors)), key=factors.__getitem__)):
+            rank[k] = r
+        order = sorted(range(len(coded)), key=lambda k: [rank[f] for f in coded[k]])
+        relabel = [0] * len(order)
+        for new, old in enumerate(order):
+            relabel[old] = new
+
+        factor_text = [f'{{"charge":{charge},"parts":{_ints(parts)}}}' for charge, parts in factors]
+        lam_c = self.lam.c
+        weight_tail = f',"n":{self.n},"w":{canonical_dumps(list(self.lam.w))}}}'
+        weight_text: dict[tuple[int, ...], str] = {}
+        nodes = []
+        for new, old in enumerate(order):
+            cvec = self.cvecs[old]
+            weight = weight_text.get(cvec)
+            if weight is None:
+                weight = weight_text[cvec] = (
+                    '{"c":' + _ints([a + b for a, b in zip(lam_c, cvec)]) + weight_tail)
+            word = ",".join([factor_text[f] for f in coded[old]])
+            nodes.append(f'{{"id":{new},"weight":{weight},"word":[{word}]}}')
+        edges = sorted((relabel[a], i, relabel[b]) for (a, i), b in self.edges.items())
+        return (f'{{"budget":{canonical_dumps(list(self.budget))},"edges":['
+                + ",".join(['{"from":%d,"i":%d,"to":%d}' % e for e in edges])
+                + f'],"lambda":{canonical_dumps(self.lam.to_json())},"nodes":['
+                + ",".join(nodes) + "]}")
 
     def canonical_digest(self) -> str:
         return hashlib.sha256(self.to_json_str().encode()).hexdigest()
@@ -217,6 +239,10 @@ class CrystalGraph:
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _ints(xs) -> str:
+    return "[" + ",".join(map(str, xs)) + "]"
 
 
 def _validate_budget(n: int, budget) -> tuple[int, ...]:
@@ -343,17 +369,18 @@ def tensor_highest_weights(lam1: Weight, lam2: Weight, budget, *,
 
     By the tensor-product rule (Kashiwara, Duke Math. J. 63, 1991), b1.b2 is
     killed by every e_i exactly when b1 is the highest-weight word of B(lam1)
-    and eps_i(b2) <= phi_i(b1) = <lam1, h_i> for every i, where phi_i(b1) is
-    w_i of lam1.  So this is one pass over B(lam2) truncated at the budget:
-    the only graph built, and the one node_cap bounds.
+    and eps_i(b2) <= phi_i(b1) = <lam1, h_i> for every i.  So this is one
+    pass over B(lam2) truncated at the budget: the only graph built, and the
+    one node_cap bounds.
     """
     _require_tensor_factors(lam1, lam2)
     n = lam1.n
     graph = generate_crystal(lam2, budget, node_cap=node_cap)
     tables: dict = {}
+    bound = lam1.pairings()
     counts: dict[tuple[int, ...], int] = {}
     for word, c in zip(graph.words, graph.cvecs):
-        if all(_scan_word(word, i, n, tables)[0] <= lam1.w[i] for i in range(n)):
+        if all(_scan_word(word, i, n, tables)[0] <= bound[i] for i in range(n)):
             counts[c] = counts.get(c, 0) + 1
     base = lam1 + lam2
     return {Weight(n, base.w, tuple(a + b for a, b in zip(base.c, c))): m

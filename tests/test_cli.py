@@ -297,3 +297,16 @@ def test_stdout_is_single_json_document(capsys):
         assert code == 0
         json.loads(out)  # exactly one well-formed document
         assert out.endswith("\n")
+
+
+@pytest.mark.parametrize("lam", [
+    '{"n":2,"w":[2,0],"c":[1,0]}',
+    '{"n":3,"w":[2,1,1],"c":[1,0,0]}',
+    '{"n":4,"w":[2,1,0,1],"c":[1,0,0,0]}',
+])
+def test_check_weight_off_delta(capsys, lam):
+    # Dominant weights whose c is no multiple of delta
+    code, out, err = run_cli(capsys, "check", "--lam", lam, "--depth", "3")
+    assert code == 0
+    assert ": OK (" in err
+    assert json.loads(out)["disagreements"] == []

@@ -52,6 +52,7 @@ def test_tensor_rule_single_factor_degenerates_to_fock():
 def test_generate_budget_zero():
     g = generate_crystal(fundamental_weight(2, 0), (0, 0))
     assert len(g) == 1
+    assert '"edges":[]' in g.to_json_str()
 
 
 def test_generate_basic_depth2():
@@ -64,6 +65,22 @@ def test_generate_adjoint_truncation():
     assert len(g) == 5
     counts = g.weight_counts()
     assert counts == {(0, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 1, 1): 2}
+
+
+@pytest.mark.parametrize("w, c, w_pairings", [
+    ((2, 0), (1, 0), (0, 2)),
+    ((2, 1, 1), (1, 0, 0), (0, 2, 2)),
+    ((2, 1, 0, 1), (1, 0, 0, 0), (0, 2, 0, 2)),
+])
+def test_generate_off_delta_weight_uses_pairings(w, c, w_pairings):
+    # A dominant weight whose c is no multiple of delta has the crystal of its
+    # pairings; node weights stay lambda lowered by the node's cvec.
+    lam = Weight(len(w), w, c)
+    budget = (3,) * len(w)
+    g = generate_crystal(lam, budget)
+    same = generate_crystal(Weight(len(w), w_pairings, (0,) * len(w)), budget)
+    assert g.weight_counts() == same.weight_counts()
+    assert g.weight_of(0) == lam
 
 
 def test_generate_requires_dominant():
@@ -232,6 +249,19 @@ def test_tensor_highest_weights_delta_shifted_factor():
     assert thw == {lowered(k, (1, 1, 1)): m for k, m in unshifted.items()}
 
 
+def test_tensor_highest_weights_off_delta_factor():
+    # c = (1, 0) is no multiple of delta: 2 Lambda_0 - alpha_0 = 2 Lambda_1 - delta
+    lam1 = Weight(2, (2, 0), (1, 0))
+    assert lam1.pairings() == (0, 2)
+    lam2 = Weight(2, (1, 0), (0, 0))
+    budget = (3, 3)
+    thw = tensor_highest_weights(lam1, lam2, budget)
+    assert thw == _pair_scan_highest_weights(lam1, lam2, budget)
+    unshifted = tensor_highest_weights(Weight(2, (0, 2), (0, 0)), lam2, budget)
+    assert (sorted((k.pairings(), m) for k, m in thw.items())
+            == sorted((k.pairings(), m) for k, m in unshifted.items()))
+
+
 def test_tensor_weight_multiplicity_examples():
     l1, l2 = fundamental_weight(3, 1), fundamental_weight(3, 2)
     base = l1 + l2
@@ -270,22 +300,68 @@ def test_generation_deterministic():
 
 # Canonical documents as of CONVENTION_ID v1; a change here invalidates caches.
 PINNED_DIGESTS = [
-    ((1, 1, 0), (4, 4, 4), 582,
+    ((1, 1, 0), (0, 0, 0), (4, 4, 4), 582,
      "4668202dc303e109526f4d5afd1b130dec0becd43376cecfb8667bbb0c8c5d5e"),
-    ((2, 0), (8, 8), 498,
+    ((2, 0), (0, 0), (8, 8), 498,
      "7fbf51d221150120a6ce88f5eedb666a1723e0aa30bedfd6cb66ad86a7ab527d"),
-    ((1, 0, 0, 1), (4, 4, 4, 4), 3133,
+    ((1, 0, 0, 1), (0, 0, 0, 0), (4, 4, 4, 4), 3133,
      "587aa7e4e1a0ac54167edd79bd98fbdb166036cd11407a0a12cd198525404aae"),
-    ((1, 1), (6, 6), 231,
+    ((1, 1), (0, 0), (6, 6), 231,
      "45f5e9036529eec1fe8e220c71b3a9ae4ac166c0c7ad6bf03fcddc558317ede3"),
+    ((1, 1, 0), (0, 0, 0), (8, 8, 8), 20471,
+     "5bc9d5fa28610088f5e01f194a855b66cce2e1f0ce048c892c7cdf788a1c11f7"),
+    ((1, 0, 1), (47, 47, 47), (6, 6, 6), 3960,
+     "88fcec92c81ab040abca0a49ff9210cb60bb76ae8d8fe8ecbf9e3618584ab67d"),
+    ((1, 1, 0), (0, 0, 0), (0, 0, 0), 1,
+     "586c91520b797bcbe7b7f81b2b8ca6174426d28455f9e982a796a6ac806699b2"),
 ]
 
 
-@pytest.mark.parametrize("w, budget, nodes, digest", PINNED_DIGESTS)
-def test_canonical_digest_pinned(w, budget, nodes, digest):
-    g = generate_crystal(Weight(len(w), w, (0,) * len(w)), budget)
+@pytest.mark.parametrize(
+    "w, c, budget, nodes, digest", PINNED_DIGESTS,
+    # the test ids entries had before they carried c
+    ids=[f"w{k}-budget{k}-{e[3]}-{e[4]}" for k, e in enumerate(PINNED_DIGESTS)],
+)
+def test_canonical_digest_pinned(w, c, budget, nodes, digest):
+    g = generate_crystal(Weight(len(w), w, c), budget)
     assert len(g) == nodes
     assert g.canonical_digest() == digest
+
+
+def _reference_json_str(g):
+    """The dict-tree route the emitter replaced: a dict per node with a
+    validated Weight, then json.dumps over the whole tree with sorted keys."""
+    order = sorted(range(len(g.words)), key=lambda k: g.words[k])
+    relabel = {old: new for new, old in enumerate(order)}
+    nodes = [{
+        "id": new,
+        "word": [{"parts": list(parts), "charge": charge} for charge, parts in g.words[old]],
+        "weight": g.weight_of(old).to_json(),
+    } for new, old in enumerate(order)]
+    edges = sorted(
+        ({"from": relabel[a], "i": i, "to": relabel[b]} for (a, i), b in g.edges.items()),
+        key=lambda e: (e["from"], e["i"]),
+    )
+    doc = {"lambda": g.lam.to_json(), "budget": list(g.budget), "nodes": nodes, "edges": edges}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+EMITTER_BUDGETS = {
+    2: [(3, 3), (4, 1), (0, 0)],
+    3: [(2, 2, 2), (3, 0, 1), (0, 0, 0)],
+    4: [(1, 1, 1, 1), (2, 0, 1, 1), (0, 0, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_to_json_str_matches_dict_tree(n):
+    # delta-shifts by -1, 47, -120 and 305 give negative, two- and three-digit c
+    for lam in dominant_bases(n, 2):
+        for shift in (0, -1, 47, -120, 305):
+            shifted = lowered(lam, (shift,) * n)
+            for budget in EMITTER_BUDGETS[n]:
+                g = generate_crystal(shifted, budget)
+                assert g.to_json_str() == _reference_json_str(g), (shifted, budget)
 
 
 def test_graph_json_schema():
