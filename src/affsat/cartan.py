@@ -7,8 +7,12 @@ vectors of length n meaning
     mu = sum_i w_i * Lambda_i  -  sum_i c_i * alpha_i,
 
 with Lambda_i the fundamental weights and alpha_i the simple roots, indices
-taken mod n.  This representation keeps the dictionary with quiver dimension
-vectors (w, v) exact and avoids rational delta coefficients.  The null root
+taken mod n.  The Cartan matrix C of the cyclic quiver acts as the cyclic
+second difference (C s)_i = 2 s_i - s_{i-1} - s_{i+1}, so every pairing is
+<mu, h_i> = w_i - (C c)_i and nothing here needs a general linear solver.
+
+This representation keeps the dictionary with quiver dimension vectors
+(w, v) exact and avoids rational delta coefficients.  The null root
 delta = sum_i alpha_i corresponds to c = (1, ..., 1) applied with negative
 sign, and the degree grading is normalized so that deg(lambda) = 0, i.e.
 delta_degree(mu) = c_0.
@@ -21,8 +25,8 @@ from any number of threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import index as as_int
 from typing import Optional, Sequence
 
@@ -35,24 +39,23 @@ def check_rank(n: int) -> int:
     return n
 
 
+def cartan_apply(s: Sequence[int]) -> tuple[int, ...]:
+    """C s for the Cartan matrix C of type A_{n-1}^(1), n = len(s): the cyclic
+    second difference (2 s_i - s_{i-1} - s_{i+1})_i, indices mod n.
+
+    For n = 2 both neighbours of a node are the other node, which gives
+    a_01 = a_10 = -2.
+    """
+    n = len(s)
+    return tuple([2 * s[i] - s[i - 1] - s[(i + 1) % n] for i in range(n)])
+
+
 @lru_cache(maxsize=None)
 def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of type A_{n-1}^(1): cyclic adjacency, rows summing to 0.
-
-    For n = 2 the two nodes are doubly linked (a_01 = a_10 = -2).
-    """
+    """Cartan matrix of type A_{n-1}^(1): cartan_apply on the unit vectors
+    (C is symmetric, so its columns are its rows)."""
     check_rank(n)
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 2
-        if n == 2:
-            row[1 - i] = -2
-        else:
-            row[(i - 1) % n] -= 1
-            row[(i + 1) % n] -= 1
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(cartan_apply([int(i == j) for j in range(n)]) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,11 @@ class Weight:
         return self.c[0]
 
     def pairing(self, i: int) -> int:
-        """<mu, h_i> = w_i - sum_j a_ij c_j."""
-        a = cartan_matrix(self.n)
-        i %= self.n
-        return self.w[i] - sum(a[i][j] * self.c[j] for j in range(self.n))
+        return self.pairings()[i % self.n]
 
     def pairings(self) -> tuple[int, ...]:
-        return tuple(self.pairing(i) for i in range(self.n))
+        """(<mu, h_i>)_i = w - C c."""
+        return tuple([w - x for w, x in zip(self.w, cartan_apply(self.c))])
 
     def is_dominant(self) -> bool:
         return all(p >= 0 for p in self.pairings())
@@ -100,6 +101,10 @@ class Weight:
 
     def plus_alpha(self, i: int, k: int = 1) -> "Weight":
         return self.minus_alpha(i, -k)
+
+    def lowered(self, u: Sequence[int]) -> "Weight":
+        """self - sum_i u_i alpha_i."""
+        return Weight(self.n, self.w, tuple([a + b for a, b in zip(self.c, u)]))
 
     def __add__(self, other: "Weight") -> "Weight":
         if self.n != other.n:
@@ -203,45 +208,20 @@ def is_dominant(mu: Weight) -> bool:
 
 
 def _solve_base_shift(n: int, d: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Solve A s = d with s_0 = 0 over the integers, or None.
+    """Solve C s = d with s_0 = 0 over the integers, or None.
 
     This answers whether sum_i d_i Lambda_i equals an integer combination of
-    simple roots (the s_0 = 0 condition matches the delta coefficient).  The
-    solution is unique when it exists because ker A = Z*(1,...,1).
+    simple roots (the s_0 = 0 condition matches the delta coefficient).  With
+    t_i = s_i - s_{i-1}, (C s)_i = t_i - t_{i+1}, so t_k = t_0 - D_k for the
+    prefix sums D_k = d_0 + ... + d_{k-1}; the cycle closes iff sum d = 0, and
+    sum t = 0 fixes n t_0 = sum_k D_k.  The solution is unique when it exists
+    because ker C = Z*(1,...,1).
     """
-    a = cartan_matrix(n)
-    # Gaussian elimination over Q on the n x (n-1) system in s_1..s_{n-1}.
-    rows = [[Fraction(a[i][j]) for j in range(1, n)] + [Fraction(d[i])] for i in range(n)]
-    ncols = n - 1
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        pr = next((r for r in range(pivot_row, n) if rows[r][col] != 0), None)
-        if pr is None:
-            continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
-        for r in range(n):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = rows[r][ncols]
-    # Rows without pivots must have zero RHS, else the system is inconsistent.
-    for r in range(pivot_row, n):
-        if rows[r][ncols] != 0:
-            return None
-    # Verify (catches free columns) and check integrality.
-    for i in range(n):
-        if sum(a[i][j + 1] * sol[j] for j in range(ncols)) != d[i]:
-            return None
-    if any(x.denominator != 1 for x in sol):
+    prefix = list(accumulate(d, initial=0))  # D_0, ..., D_n = sum d
+    t0, rem = divmod(sum(prefix[:-1]), n)
+    if prefix[-1] or rem:
         return None
-    return (0,) + tuple(int(x) for x in sol)
+    return tuple(accumulate([t0 - x for x in prefix[1:-1]], initial=0))
 
 
 def lowering_vector(lam: Weight, mu: Weight) -> Optional[tuple[int, ...]]:

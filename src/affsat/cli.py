@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -46,11 +47,24 @@ EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 
 
+# What the CLI reads as an integer: ASCII digits with an optional minus sign,
+# where int() would also take "_", "+", surrounding spaces and other scripts'
+# digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _int_arg(text: str) -> int:
+    """argparse type for the integer options."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_vector(text: str, n: int, name: str) -> tuple[int, ...]:
-    try:
-        vec = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"malformed {name} vector {text!r}: expected comma-separated integers") from exc
+    entries = text.split(",")
+    if not all(map(_INTEGER.fullmatch, entries)):
+        raise DomainError(f"malformed {name} vector {text!r}: expected comma-separated integers")
+    vec = tuple(map(int, entries))
     if len(vec) != n:
         raise DomainError(f"{name} vector must have length n={n}, got {len(vec)}")
     return vec
@@ -82,17 +96,17 @@ def _resolve_mu(args, lam: Weight) -> Weight:
     v = _parse_vector(args.v, lam.n, "v")
     if any(x < 0 for x in v):
         raise DomainError("v entries must be nonnegative")
-    return Weight(lam.n, lam.w, tuple(a + b for a, b in zip(lam.c, v)))
+    return lam.lowered(v)
 
 
-def _resolve_budget(args, lam: Weight, *, fallback_v: bool = True) -> tuple[int, ...]:
+def _resolve_budget(args, lam: Weight) -> tuple[int, ...]:
     if getattr(args, "budget", None):
         return _parse_vector(args.budget, lam.n, "budget")
     if getattr(args, "depth", None) is not None:
         if args.depth < 0:
             raise DomainError("--depth must be nonnegative")
         return (args.depth,) * lam.n
-    if fallback_v and getattr(args, "v", None):
+    if getattr(args, "v", None):
         return _parse_vector(args.v, lam.n, "v")
     raise DomainError("no budget: pass --budget, --depth or -v")
 
@@ -300,7 +314,7 @@ def _cmd_check(args) -> tuple[str, int]:
     compared = 0
     for u in product(*(range(b + 1) for b in budget)):
         compared += 1
-        mu = Weight(lam.n, lam.w, tuple(a + b for a, b in zip(lam.c, u)))
+        mu = lam.lowered(u)
         got = counts.get(u, 0)
         want = freudenthal.freudenthal_multiplicity(lam, mu)
         if got != want:
@@ -339,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, *, mu=False, tensor=False, residue=False, formats=None,
                budget=False, depth=False, cache=False, include_empty=False):
-        sp.add_argument("-n", type=int, default=None, help="rank (number of residues), >= 2")
+        sp.add_argument("-n", type=_int_arg, default=None, help="rank (number of residues), >= 2")
         sp.add_argument("-w", default=None, help="framing dims, comma separated (defines lambda)")
         sp.add_argument("--lam", default=None, help="explicit lambda as weight JSON")
         if mu:
@@ -351,11 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--lam1", default=None, help="first factor as weight JSON")
             sp.add_argument("--lam2", default=None, help="second factor as weight JSON")
         if residue:
-            sp.add_argument("-i", type=int, default=None, help="residue index in 0..n-1")
+            sp.add_argument("-i", type=_int_arg, default=None, help="residue index in 0..n-1")
         if budget:
             sp.add_argument("--budget", default=None, help="lowering budget, comma separated")
         if depth:
-            sp.add_argument("--depth", type=int, default=None, help="uniform budget shorthand")
+            sp.add_argument("--depth", type=_int_arg, default=None, help="uniform budget shorthand")
         if formats:
             sp.add_argument("--format", default="json", help=f"output format ({'|'.join(formats)})")
         if cache:
@@ -364,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         if include_empty:
             sp.add_argument("--include-empty", action="store_true",
                             help="keep strata whose regular locus is empty")
-        sp.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
+        sp.add_argument("--node-cap", type=_int_arg, default=DEFAULT_NODE_CAP,
                         help="abort generation beyond this many nodes")
 
     common(sub.add_parser("crystal", help="truncated crystal graph of lambda"),

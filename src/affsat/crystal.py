@@ -140,13 +140,11 @@ class CrystalGraph:
     """Truncated crystal graph: nodes reachable from the highest-weight word
     by f-edges whose lowering stays within the budget."""
 
-    def __init__(self, lam: Weight, budget: tuple[int, ...], charges: tuple[int, ...],
-                 words: list[Word], cvecs: list[tuple[int, ...]],
-                 edges: dict[tuple[int, int], int]):
+    def __init__(self, lam: Weight, budget: tuple[int, ...], words: list[Word],
+                 cvecs: list[tuple[int, ...]], edges: dict[tuple[int, int], int]):
         self.lam = lam
         self.n = lam.n
         self.budget = budget
-        self.charges = charges
         self.words = words
         self.cvecs = cvecs
         self.edges = edges
@@ -159,8 +157,7 @@ class CrystalGraph:
         return CrystalNode(self.n, self.words[node_id])
 
     def weight_of(self, node_id: int) -> Weight:
-        c = self.cvecs[node_id]
-        return Weight(self.n, self.lam.w, tuple(a + b for a, b in zip(self.lam.c, c)))
+        return self.lam.lowered(self.cvecs[node_id])
 
     def weight_counts(self) -> dict[tuple[int, ...], int]:
         """Node counts per lowering vector (relative to lambda)."""
@@ -270,10 +267,9 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
     _require_dominant(lam)
     n = lam.n
     budget = _validate_budget(n, budget)
-    charges = canonical_charges(lam)
     tables: dict[Factor, tuple] = {}
 
-    hw: Word = tuple((ch, ()) for ch in charges)
+    hw: Word = tuple((ch, ()) for ch in canonical_charges(lam))
     zero = (0,) * n
     words: list[Word] = [hw]
     cvecs: list[tuple[int, ...]] = [zero]
@@ -297,7 +293,7 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
             edges[(parent_id, i)] = child_id
         frontier = next_frontier
 
-    return CrystalGraph(lam, budget, charges, words, cvecs, edges)
+    return CrystalGraph(lam, budget, words, cvecs, edges)
 
 
 def weight_multiplicity(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE_CAP) -> int:
@@ -383,8 +379,7 @@ def tensor_highest_weights(lam1: Weight, lam2: Weight, budget, *,
         if all(_scan_word(word, i, n, tables)[0] <= bound[i] for i in range(n)):
             counts[c] = counts.get(c, 0) + 1
     base = lam1 + lam2
-    return {Weight(n, base.w, tuple(a + b for a, b in zip(base.c, c))): m
-            for c, m in counts.items()}
+    return {base.lowered(c): m for c, m in counts.items()}
 
 
 def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight, *,

@@ -37,7 +37,3 @@ class ResourceCapError(AffsatError, RuntimeError):
 
 class ConsistencyError(AffsatError, RuntimeError):
     """Two routes that must agree did not; signals a bug, not bad input."""
-
-
-class CacheCorruptionError(AffsatError, RuntimeError):
-    """Cache entry failed its digest check (recoverable: caller rebuilds)."""

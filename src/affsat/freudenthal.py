@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cartan import Weight, cartan_matrix, check_rank, lowering_vector
+from .cartan import Weight, cartan_apply, check_rank, lowering_vector
 from .errors import ConsistencyError, DomainError
 
 
@@ -62,25 +62,14 @@ def positive_roots(n: int, degree_bound: int) -> tuple[PositiveRoot, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r.coeffs), r.coeffs)))
 
 
-def _pairing_with_root(n: int, lam_pairings, u, e) -> int:
-    """(mu, alpha) where mu = lam - u.alpha and alpha = e.alpha."""
-    a = cartan_matrix(n)
-    total = 0
-    for i in range(n):
-        if e[i]:
-            total += e[i] * (lam_pairings[i] - sum(a[i][j] * u[j] for j in range(n)))
-    return total
-
-
 @lru_cache(maxsize=None)
 def _mult(lam: Weight, u: tuple[int, ...]) -> int:
     if all(x == 0 for x in u):
         return 1
     n = lam.n
-    a = cartan_matrix(n)
     plam = lam.pairings()
-    # |lam+rho|^2 - |mu+rho|^2 = 2 sum u_j (<lam,h_j> + 1) - u^T A u
-    au = [sum(a[i][j] * u[j] for j in range(n)) for i in range(n)]
+    # |lam+rho|^2 - |mu+rho|^2 = 2 sum u_j (<lam,h_j> + 1) - u^T C u
+    au = cartan_apply(u)
     denom = 2 * sum(uj * (pj + 1) for uj, pj in zip(u, plam)) - sum(ui * aui for ui, aui in zip(u, au))
     rhs = 0
     for root in positive_roots(n, u[0]):
@@ -92,7 +81,9 @@ def _mult(lam: Weight, u: tuple[int, ...]) -> int:
                 break
             m2 = _mult(lam, u2)
             if m2:
-                rhs += root.multiplicity * m2 * _pairing_with_root(n, plam, u2, e)
+                # (lam - u2.alpha, e.alpha) = sum_i e_i (<lam, h_i> - (C u2)_i)
+                pairing = sum([x * (p - y) for x, p, y in zip(e, plam, cartan_apply(u2))])
+                rhs += root.multiplicity * m2 * pairing
             k += 1
     rhs *= 2
     if denom <= 0:

@@ -85,7 +85,7 @@ def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> li
     level_one = lam.level == 1
     strata = []
     for c in product(*(range(x + 1) for x in v)):
-        kappa = Weight(lam.n, lam.w, tuple(a + b for a, b in zip(lam.c, c)))
+        kappa = lam.lowered(c)
         if not kappa.is_dominant():
             continue
         empty_flag = level_one and c != tuple(v)
@@ -105,11 +105,8 @@ def tensor_fixed_points(lam1: Weight, lam2: Weight, mu: Weight, *,
     Nonempty exactly when mu is a weight of the tensor product.  Sorted by
     the lowering vector of mu1.
     """
-    return [
-        (Weight(lam1.n, lam1.w, tuple(a + b for a, b in zip(lam1.c, s))),
-         Weight(lam2.n, lam2.w, tuple(a + b for a, b in zip(lam2.c, rest))))
-        for s, rest, _, _ in crystal.tensor_splittings(lam1, lam2, mu, node_cap=node_cap)
-    ]
+    return [(lam1.lowered(s), lam2.lowered(rest))
+            for s, rest, _, _ in crystal.tensor_splittings(lam1, lam2, mu, node_cap=node_cap)]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +24,7 @@ from affsat import (
     weight_invariants,
     weights_from_dims,
 )
+from affsat.cartan import _solve_base_shift, cartan_apply
 
 from conftest import lowered
 
@@ -192,3 +196,96 @@ def test_simple_root_is_lowering_unit():
     for n in (2, 3):
         for i in range(n):
             assert simple_root(n, i).pairings() == tuple(cartan_matrix(n)[j][i] for j in range(n))
+
+
+def _reference_base_shift(n, d):
+    """C s = d with s_0 = 0 by Gaussian elimination over Q on the n x (n-1)
+    system in s_1..s_{n-1}, or None when there is no integer solution."""
+    a = cartan_matrix(n)
+    rows = [[Fraction(a[i][j]) for j in range(1, n)] + [Fraction(d[i])] for i in range(n)]
+    ncols = n - 1
+    pivot_row = 0
+    pivots = []
+    for col in range(ncols):
+        pr = next((r for r in range(pivot_row, n) if rows[r][col] != 0), None)
+        if pr is None:
+            continue
+        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
+        pv = rows[pivot_row][col]
+        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
+        for r in range(n):
+            if r != pivot_row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+    sol = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = rows[r][ncols]
+    # Rows without pivots must have zero RHS, else the system is inconsistent.
+    for r in range(pivot_row, n):
+        if rows[r][ncols] != 0:
+            return None
+    # Verify (catches free columns) and check integrality.
+    for i in range(n):
+        if sum(a[i][j + 1] * sol[j] for j in range(ncols)) != d[i]:
+            return None
+    if any(x.denominator != 1 for x in sol):
+        return None
+    return (0,) + tuple(int(x) for x in sol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_base_shift_matches_elimination_exhaustive(n):
+    solvable = 0
+    for d in itertools.product(range(-3, 4), repeat=n):
+        want = _reference_base_shift(n, d)
+        assert _solve_base_shift(n, d) == want, d
+        solvable += want is not None
+    assert solvable > 1
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_base_shift_matches_elimination_random(n):
+    rng = random.Random(n)
+    solvable = 0
+    for _ in range(1000):
+        d = [rng.randint(-6, 6) for _ in range(n)]
+        if rng.random() < 0.5:
+            d[-1] -= sum(d)  # sum d = 0: the divisibility condition decides
+        want = _reference_base_shift(n, d)
+        assert _solve_base_shift(n, tuple(d)) == want, d
+        solvable += want is not None
+    assert solvable > 10
+
+
+vectors = st.integers(2, 7).flatmap(
+    lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+
+
+@given(s=vectors)
+def test_cartan_apply_is_matrix_product(s):
+    a = cartan_matrix(len(s))
+    assert cartan_apply(s) == tuple(sum(x * y for x, y in zip(row, s)) for row in a)
+
+
+@given(s=vectors)
+def test_base_shift_inverts_cartan_apply(s):
+    s = (0,) + tuple(s[1:])
+    assert _solve_base_shift(len(s), cartan_apply(s)) == s
+
+
+@given(w=vectors, data=st.data())
+def test_lowering_vector_inverts_lowered(w, data):
+    n = len(w)
+    lam = Weight(n, tuple(w), tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))))
+    u = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    mu = lam.lowered(u)
+    assert mu == lowered(lam, u)
+    assert lowering_vector(lam, mu) == u
+    # The same weight written against the base w + C s (s_0 = 0) reaches
+    # lowering_vector's solver path.
+    s = (0,) + tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1)))
+    rebased = Weight(n, tuple(a + b for a, b in zip(mu.w, cartan_apply(s))),
+                     tuple(a + b for a, b in zip(mu.c, s)))
+    assert lowering_vector(lam, rebased) == u

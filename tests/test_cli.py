@@ -167,6 +167,44 @@ def test_validation_errors(capsys):
         code, out, err = run_cli(capsys, "mult", "--lam", lam, "-v", "0,0")
         assert (code, out) == (2, ""), lam
         assert len(err.splitlines()) == 1 and "malformed weight JSON" in err, lam
+    # Integers are ASCII digits with an optional minus: no "_", "+", spaces
+    # or other scripts' digits, all of which int() would accept.
+    for argv in [
+        ("crystal", "-n", "2", "-w", "1_0,0", "--depth", "0"),
+        ("crystal", "-n", "2", "-w", "1,0", "--budget", "\u0662,1"),
+        ("crystal", "-n", "2", "-w", " 1,0", "--depth", "0"),
+        ("crystal", "-n", "2", "-w", "+1,0", "--depth", "0"),
+        ("mult", "-n", "2", "-w", "1,0", "-v", "1,\uff11"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and "expected comma-separated integers" in err, argv
+    for argv in [
+        ("crystal", "-n", "+2", "-w", "1,0", "--depth", "0"),
+        ("crystal", "-n", " 2", "-w", "1,0", "--depth", "0"),
+        ("crystal", "-n", "2", "-w", "1,0", "--depth", "1_0"),
+        ("crystal", "-n", "2", "-w", "1,0", "--depth", "\u0662"),
+        ("crystal", "-n", "2", "-w", "1,0", "--depth", "1", "--node-cap", "1_000"),
+        ("branch", "-n", "2", "-w", "1,0", "-v", "2,2", "-i", "\u0661"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert "expected an integer" in err, argv
+
+
+def test_mu_in_another_base(capsys):
+    """A --mu whose w differs from lambda's is compared through the base change."""
+    lam = '{"n":2,"w":[1,1],"c":[0,0]}'
+    for mu in ('{"n":2,"w":[3,-1],"c":[2,2]}', '{"n":2,"w":[1,1],"c":[2,3]}'):
+        assert run_cli(capsys, "mult", "--lam", lam, "--mu", mu)[:2] == (0, '{"multiplicity":4}\n')
+    lam = '{"n":3,"w":[1,0,0],"c":[0,0,0]}'
+    for mu in ('{"n":3,"w":[0,2,-1],"c":[1,2,1]}', '{"n":3,"w":[1,0,0],"c":[1,1,1]}'):
+        assert run_cli(capsys, "mult", "--lam", lam, "--mu", mu)[:2] == (0, '{"multiplicity":2}\n')
+    # Lambda_0 - (-Lambda_0 + 2 Lambda_1) = 2(Lambda_0 - Lambda_1) is not in the root lattice.
+    mu = '{"n":3,"w":[-1,2,0],"c":[0,0,0]}'
+    assert run_cli(capsys, "mult", "--lam", lam, "--mu", mu)[:2] == (0, '{"multiplicity":0}\n')
 
 
 def test_node_cap_must_be_positive(capsys):
