@@ -8,9 +8,11 @@ not happen; it means the two multiplicity routes disagreed).
 Weights are entered either through the dimension-vector dictionary
 (-w framing dims, -v gauge dims, so lambda = sum w_i Lambda_i and
 mu = lambda - sum v_i alpha_i) or as explicit {"n":..,"w":..,"c":..} JSON.
-The graph cache stores one file per key under --cache-dir (default
+The graph cache keeps one file {key}.json per key under --cache-dir (default
 $AFFSAT_CACHE_DIR), keyed by a digest of (schema version, rank, lambda,
-budget, convention id), and serves byte-identical documents on warm hits.
+budget, convention id).  An entry is the document's sha256 hex digest, a
+newline and the document; a warm hit serves it byte-identical once the
+digest matches.  Version-1 entries are never read and can be deleted.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import os
 import re
 import sys
 import tempfile
-from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
 from typing import Optional
@@ -38,7 +39,7 @@ from .errors import (
     ResourceCapError,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_CACHE_DIR = "AFFSAT_CACHE_DIR"
 
 EXIT_OK = 0
@@ -58,6 +59,13 @@ def _int_arg(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
+
+
+def _node_cap_arg(text: str) -> int:
+    cap = _int_arg(text)
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"--node-cap must be at least 1, got {cap}")
+    return cap
 
 
 def _parse_vector(text: str, n: int, name: str) -> tuple[int, ...]:
@@ -84,8 +92,7 @@ def _resolve_lambda(args) -> Weight:
     if args.n is None or getattr(args, "w", None) is None:
         raise DomainError("pass -n with -w, or an explicit --lam JSON weight")
     w = _parse_vector(args.w, args.n, "w")
-    lam, _ = weights_from_dims(args.n, w, (0,) * args.n)
-    return lam
+    return weights_from_dims(args.n, w, (0,) * args.n)[0]
 
 
 def _resolve_mu(args, lam: Weight) -> Weight:
@@ -127,10 +134,6 @@ def _tensor_pair(args) -> tuple[Weight, Weight]:
     return lam1, lam2
 
 
-def _is_tensor_query(args) -> bool:
-    return bool(getattr(args, "w1", None) or getattr(args, "lam1", None))
-
-
 # -- cache ------------------------------------------------------------------
 
 
@@ -167,28 +170,20 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: Optional[str], *,
     path = root / f"{key}.json"
     if path.exists():
         try:
-            entry = json.loads(path.read_text())
-            payload = entry["payload"]
-            if hashlib.sha256(payload.encode()).hexdigest() == entry["sha256"]:
-                return payload
+            digest, _, doc = path.read_text().partition("\n")
+            if hashlib.sha256(doc.encode()).hexdigest() == digest:
+                return doc
             print(f"affsat: cache entry {path.name} failed its digest check; rebuilding",
                   file=sys.stderr)
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError):
             print(f"affsat: cache entry {path.name} is unreadable; rebuilding", file=sys.stderr)
     doc = build()
-    entry = {
-        "schema_version": SCHEMA_VERSION,
-        "key": key,
-        "sha256": hashlib.sha256(doc.encode()).hexdigest(),
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "payload": doc,
-    }
     tmp = None
     try:
         root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=root, prefix=f"{key}.", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(entry))
+            fh.write(hashlib.sha256(doc.encode()).hexdigest() + "\n" + doc)
         os.replace(tmp, path)
     except OSError as exc:
         print(f"affsat: cache write failed ({exc}); continuing without store", file=sys.stderr)
@@ -197,19 +192,20 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: Optional[str], *,
     return doc
 
 
-def dot_from_graph_json(obj: dict) -> str:
-    """DOT rendering of a canonical graph document: nodes labelled by weight,
-    edges labelled by residue and colored by residue class."""
+# A node's id and c, and an edge, in the layout CrystalGraph.to_json_str writes.
+_DOC_NODE = re.compile(r'\{"id":(\d+),"weight":\{"c":\[([-\d,]+)\]')
+_DOC_EDGE = re.compile(r'\{"from":(\d+),"i":(\d+),"to":(\d+)\}')
+
+
+def dot_from_graph_json(doc: str) -> str:
+    """DOT rendering of a canonical graph document, read from its text: nodes
+    labelled by weight, edges labelled by residue and colored by residue class."""
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
-    lines = ["digraph crystal {", "  rankdir=TB;"]
-    for node in obj["nodes"]:
-        lines.append(f'  n{node["id"]} [label="c={node["weight"]["c"]}"];')
-    for edge in obj["edges"]:
-        color = palette[edge["i"] % len(palette)]
-        lines.append(f'  n{edge["from"]} -> n{edge["to"]} [label="{edge["i"]}", color="{color}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [f'  n{k} [label="c=[{c.replace(",", ", ")}]"];' for k, c in _DOC_NODE.findall(doc)]
+    edges = [f'  n{a} -> n{b} [label="{i}", color="{palette[int(i) % len(palette)]}"];'
+             for a, i, b in _DOC_EDGE.findall(doc)]
+    return "\n".join(["digraph crystal {", "  rankdir=TB;", *nodes, *edges, "}", ""])
 
 
 # -- commands ----------------------------------------------------------------
@@ -222,13 +218,11 @@ def _cmd_crystal(args) -> tuple[str, int]:
         raise DomainError(f"unknown format {args.format!r} for crystal (json or dot)")
     cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
     doc = cache_get_or_build(lam, budget, cache_dir, node_cap=args.node_cap)
-    if args.format == "dot":
-        return dot_from_graph_json(json.loads(doc)), EXIT_OK
-    return doc, EXIT_OK
+    return (dot_from_graph_json(doc) if args.format == "dot" else doc), EXIT_OK
 
 
 def _cmd_mult(args) -> tuple[str, int]:
-    if _is_tensor_query(args):
+    if args.w1 or args.lam1:
         lam1, lam2 = _tensor_pair(args)
         mu = _resolve_mu(args, lam1 + lam2)
         m = crystal.tensor_weight_multiplicity(lam1, lam2, mu, node_cap=args.node_cap)
@@ -259,7 +253,7 @@ def _cmd_branch(args) -> tuple[str, int]:
         raise DomainError("branch requires a residue: pass -i")
     if not 0 <= args.i < lam.n:
         raise DomainError(f"-i must be a residue in 0..{lam.n - 1}, got {args.i}")
-    rows = satake.sheaf_multiplicity_table(lam, mu, args.i)
+    rows = satake.sheaf_multiplicity_table(lam, mu, args.i, node_cap=args.node_cap)
     if args.format == "tsv":
         out = ["k\tkappa_prime\tpairing\tmultiplicity"]
         for row in rows:
@@ -284,7 +278,7 @@ def _cmd_leaves(args) -> tuple[str, int]:
 
 
 def _cmd_fixed(args) -> tuple[str, int]:
-    if _is_tensor_query(args):
+    if args.w1 or args.lam1:
         lam1, lam2 = _tensor_pair(args)
         mu = _resolve_mu(args, lam1 + lam2)
         splittings = satake.tensor_fixed_points(lam1, lam2, mu, node_cap=args.node_cap)
@@ -342,8 +336,14 @@ _HANDLERS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A malformed command line is a validation error: exit 2, one stderr line."""
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="affsat",
         description="Affine type-A crystal combinatorics: truncated crystal graphs, "
                     "weight multiplicities, tensor decompositions, branching tables, "
@@ -356,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-n", type=_int_arg, default=None, help="rank (number of residues), >= 2")
         sp.add_argument("-w", default=None, help="framing dims, comma separated (defines lambda)")
         sp.add_argument("--lam", default=None, help="explicit lambda as weight JSON")
-        if mu:
+        if mu or budget:  # -v is the budget when no --budget or --depth is given
             sp.add_argument("-v", default=None, help="gauge dims, comma separated (defines mu)")
+        if mu:
             sp.add_argument("--mu", default=None, help="explicit mu as weight JSON")
         if tensor:
             sp.add_argument("--w1", default=None, help="framing dims of the first factor")
@@ -378,15 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
         if include_empty:
             sp.add_argument("--include-empty", action="store_true",
                             help="keep strata whose regular locus is empty")
-        sp.add_argument("--node-cap", type=_int_arg, default=DEFAULT_NODE_CAP,
+        sp.add_argument("--node-cap", type=_node_cap_arg, default=DEFAULT_NODE_CAP,
                         help="abort generation beyond this many nodes")
 
     common(sub.add_parser("crystal", help="truncated crystal graph of lambda"),
-           mu=True, budget=True, depth=True, formats=("json", "dot"), cache=True)
+           budget=True, depth=True, formats=("json", "dot"), cache=True)
     common(sub.add_parser("mult", help="weight multiplicity (tensor variant via --w1/--w2)"),
            mu=True, tensor=True)
     common(sub.add_parser("tensor", help="tensor decomposition within a budget"),
-           mu=True, tensor=True, budget=True, depth=True)
+           tensor=True, budget=True, depth=True)
     common(sub.add_parser("branch", help="rank-1 branching table at residue i"),
            mu=True, residue=True, formats=("json", "tsv"))
     common(sub.add_parser("leaves", help="symplectic-leaf stratum labels"),
@@ -399,11 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.node_cap < 1:
-            raise DomainError(f"--node-cap must be at least 1, got {args.node_cap}")
+        args = build_parser().parse_args(argv)
         doc, code = _HANDLERS[args.command](args)
     except (RankError, DomainError, IncomparableWeightsError) as exc:
         print(f"affsat: {exc}", file=sys.stderr)

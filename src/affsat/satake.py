@@ -119,7 +119,8 @@ class BranchRow:
     multiplicity: int
 
 
-def sheaf_multiplicity_table(lam: Weight, mu: Weight, i: int) -> list[BranchRow]:
+def sheaf_multiplicity_table(lam: Weight, mu: Weight, i: int, *,
+                             node_cap: int = DEFAULT_NODE_CAP) -> list[BranchRow]:
     """Levi branching of (lam, mu) at node i, rows labelled by
     kappa' = mu + k alpha_i with the rank-1 weight <kappa', h_i>.
 
@@ -127,7 +128,7 @@ def sheaf_multiplicity_table(lam: Weight, mu: Weight, i: int) -> list[BranchRow]
     e_i-killed nodes); that stability is exercised by the test suite.
     """
     i %= lam.n
-    table = crystal.levi_branching(lam, mu, i)
+    table = crystal.levi_branching(lam, mu, i, node_cap=node_cap)
     rows = []
     for k in sorted(table):
         kappa_prime = mu.plus_alpha(i, k)

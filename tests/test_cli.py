@@ -14,6 +14,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def read_entry(path):
+    """A cache entry's stored digest and document."""
+    digest, newline, doc = path.read_text().partition("\n")
+    assert newline, path
+    return digest, doc
+
+
 def test_mult_example(capsys):
     code, out, _ = run_cli(capsys, "mult", "-n", "2", "-w", "1,0", "-v", "2,2")
     assert code == 0
@@ -72,6 +79,26 @@ def test_crystal_dot_format(capsys):
     assert code == 0
     assert out.startswith("digraph crystal {")
     assert out.rstrip().endswith("}")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # the 20,471-node reference graph
+    (("-n", "3", "-w", "1,1,0", "--depth", "8"),
+     "485ae6bf5fae38d0c032a8d8e007941039df9da9d0d659152de228176bdb0cf5"),
+    # lambda shifted by -2 delta: negative c in every label
+    (("--lam", '{"n":3,"w":[1,1,0],"c":[-2,-2,-2]}', "--depth", "3"),
+     "ff419646a560ace16cfa4bf07b0300a2f9c546d1d9643b4e1e73a4fa1be70cea"),
+    # budget 0: the highest-weight node alone
+    (("-n", "3", "-w", "1,1,0", "--depth", "0"),
+     "58c063ae006a3ceff9208e276d65b0e26da65880f4038ece329798f96cc23e01"),
+])
+def test_crystal_dot_pinned(tmp_path, capsys, argv, digest):
+    args = ("crystal", *argv, "--format", "dot", "--cache-dir", str(tmp_path))
+    for cache in ("cold", "warm"):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, err) == (0, ""), cache
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, cache
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_crystal_unknown_format(capsys):
@@ -187,11 +214,31 @@ def test_validation_errors(capsys):
         ("crystal", "-n", "2", "-w", "1,0", "--depth", "1", "--node-cap", "1_000"),
         ("branch", "-n", "2", "-w", "1,0", "-v", "2,2", "-i", "\u0661"),
     ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and "expected an integer" in err, argv
+    # Every other malformed command line, too, returns 2 with one stderr line.
+    for argv, message in [
+        ((), "required: command"),
+        (("crystal", "-n", "2", "-w", "1,0", "--depth", "1", "--bogus"), "unrecognized"),
+        (("crystal", "-n", "2", "-w", "1,0", "--depth", "1", "--node-cap", "0"),
+         "--node-cap must be at least 1"),
+        # --mu was accepted and never read by crystal and tensor
+        (("crystal", "-n", "2", "-w", "1,0", "--depth", "1", "--mu", "garbage"), "unrecognized"),
+        (("tensor", "-n", "3", "--w1", "0,1,0", "--w2", "0,0,1", "-v", "0,1,1",
+          "--mu", "garbage"), "unrecognized"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and message in err, argv
+
+
+def test_help_exits_zero(capsys):
+    for argv in [("--help",), ("crystal", "--help")]:
         with pytest.raises(SystemExit) as exc:
-            run_cli(capsys, *argv)
-        out, err = capsys.readouterr()
-        assert (exc.value.code, out) == (2, ""), argv
-        assert "expected an integer" in err, argv
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: affsat")
 
 
 def test_mu_in_another_base(capsys):
@@ -234,6 +281,15 @@ def test_resource_cap_exit(capsys):
     assert "node cap" in err
 
 
+def test_branch_honours_node_cap(capsys):
+    # branch used to build its crystal past the cap that mult stops at
+    for argv in [("mult",), ("branch", "-i", "1")]:
+        code, out, err = run_cli(capsys, *argv, "-n", "3", "-w", "1,1,0", "-v", "3,3,3",
+                                 "--node-cap", "2")
+        assert (code, out) == (3, ""), argv
+        assert len(err.splitlines()) == 1 and "node cap of 2" in err, argv
+
+
 def test_cache_round_trip(tmp_path, capsys):
     args = ("crystal", "-n", "2", "-w", "1,1", "--depth", "2", "--cache-dir", str(tmp_path))
     code1, cold, _ = run_cli(capsys, *args)
@@ -248,16 +304,33 @@ def test_cache_corruption_recovery(tmp_path, capsys):
     args = ("crystal", "-n", "2", "-w", "1,0", "--depth", "2", "--cache-dir", str(tmp_path))
     _, cold, _ = run_cli(capsys, *args)
     entry_path = next(tmp_path.glob("*.json"))
-    entry = json.loads(entry_path.read_text())
-    entry["payload"] = entry["payload"][:-1] + " "
-    entry_path.write_text(json.dumps(entry))
+    digest, doc = read_entry(entry_path)
+    entry_path.write_text(digest + "\n" + doc[:-1] + " ")
     code, rebuilt, err = run_cli(capsys, *args)
     assert code == 0
     assert rebuilt == cold
     assert "digest" in err
     # the corrupt entry was overwritten with a good one
-    entry = json.loads(entry_path.read_text())
-    assert entry["payload"] == cold.rstrip("\n")
+    assert read_entry(entry_path) == (digest, cold.rstrip("\n"))
+
+
+def test_cache_entry_layout(tmp_path, capsys):
+    args = ("crystal", "-n", "2", "-w", "1,0", "--depth", "2", "--cache-dir", str(tmp_path))
+    _, cold, _ = run_cli(capsys, *args)
+    [entry_path] = tmp_path.iterdir()
+    doc = cold.rstrip("\n")
+    digest = hashlib.sha256(doc.encode()).hexdigest()
+    assert entry_path.read_text() == digest + "\n" + doc
+    # A version-1 envelope at this key, an entry with no newline and an empty
+    # entry are each rebuilt with one warning, and the entry is rewritten.
+    envelope = json.dumps({"schema_version": 1, "key": entry_path.stem, "sha256": digest,
+                           "created_at": "2026-01-01T00:00:00+00:00", "payload": doc})
+    for bad in (envelope, digest + doc, ""):
+        entry_path.write_text(bad)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (0, cold), bad[:80]
+        assert len(err.splitlines()) == 1 and "rebuilding" in err, bad[:80]
+        assert entry_path.read_text() == digest + "\n" + doc
 
 
 def test_cache_write_failure_degrades(tmp_path, capsys):
@@ -295,9 +368,9 @@ def test_cache_concurrent_writers(tmp_path):
         outs = {out for out, _ in results}
         assert len(outs) == 1
         [entry_path] = cache_dir.iterdir()  # no temp file left behind
-        entry = json.loads(entry_path.read_text())
-        assert hashlib.sha256(entry["payload"].encode()).hexdigest() == entry["sha256"]
-        assert entry["payload"] + "\n" == outs.pop()
+        digest, doc = read_entry(entry_path)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+        assert doc + "\n" == outs.pop()
 
 
 def test_env_var_cache_dir(tmp_path, monkeypatch, capsys):

@@ -353,15 +353,40 @@ EMITTER_BUDGETS = {
 }
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_to_json_str_matches_dict_tree(n):
+def _emitter_graphs(n):
     # delta-shifts by -1, 47, -120 and 305 give negative, two- and three-digit c
     for lam in dominant_bases(n, 2):
         for shift in (0, -1, 47, -120, 305):
             shifted = lowered(lam, (shift,) * n)
             for budget in EMITTER_BUDGETS[n]:
-                g = generate_crystal(shifted, budget)
-                assert g.to_json_str() == _reference_json_str(g), (shifted, budget)
+                yield generate_crystal(shifted, budget)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_to_json_str_matches_dict_tree(n):
+    for g in _emitter_graphs(n):
+        assert g.to_json_str() == _reference_json_str(g), (g.lam, g.budget)
+
+
+def _reference_dot(obj):
+    """The dict-walk renderer the text reader replaced: DOT from the parsed document."""
+    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
+               "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
+    lines = ["digraph crystal {", "  rankdir=TB;"]
+    for node in obj["nodes"]:
+        lines.append(f'  n{node["id"]} [label="c={node["weight"]["c"]}"];')
+    for edge in obj["edges"]:
+        color = palette[edge["i"] % len(palette)]
+        lines.append(f'  n{edge["from"]} -> n{edge["to"]} [label="{edge["i"]}", color="{color}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dot_matches_dict_walk(n):
+    for g in _emitter_graphs(n):
+        doc = g.to_json_str()
+        assert dot_from_graph_json(doc) == _reference_dot(json.loads(doc)), (g.lam, g.budget)
 
 
 def test_graph_json_schema():
@@ -383,7 +408,7 @@ def test_graph_json_schema():
 
 def test_dot_export():
     g = generate_crystal(fundamental_weight(2, 0), (1, 1))
-    dot = dot_from_graph_json(g.to_json_obj())
+    dot = dot_from_graph_json(g.to_json_str())
     assert dot.startswith("digraph crystal {")
     assert 'label="0"' in dot and 'label="1"' in dot
     assert dot.rstrip().endswith("}")

@@ -1,6 +1,7 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps affsat attributes by
 name, so a refactor that drops one of them breaks traced benchmark runs.
-This installs it against src/ and runs one traced crystal query."""
+This installs it against src/ and runs a traced crystal query twice on one
+cache key, the second time as DOT: one miss, then one hit."""
 
 import subprocess
 import sys
@@ -16,16 +17,22 @@ from affsat import cli
 
 tracer = tracing.Tracer()
 tracer.install()
-assert cli.main(["crystal", "-n", "2", "-w", "1,0", "--depth", "2"]) == 0
+query = ["crystal", "-n", "2", "-w", "1,0", "--depth", "2", "--cache-dir", sys.argv[3]]
+assert cli.main(query) == 0
+assert cli.main(query + ["--format", "dot"]) == 0
 assert tracer.counts["crystal.serialize.bytes"] > 0
-assert any(span[0] == "crystal.generate_crystal" for span in tracer.spans)
+# The tracer finds entries by cli._cache_key and the {key}.json name.
+assert tracer.counts["cli.cache.misses"] == 1, dict(tracer.counts)
+assert tracer.counts["cli.cache.hits"] == 1, dict(tracer.counts)
+names = [span[0] for span in tracer.spans]
+assert "crystal.generate_crystal" in names and "cli.dot_from_graph_json" in names, names
 """
 
 
-def test_benchmark_tracer_installs():
+def test_benchmark_tracer_installs(tmp_path):
     # install() rewraps module attributes, so it runs in a child interpreter.
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"), str(tmp_path)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
