@@ -11,8 +11,10 @@ from .cartan import (
     delta,
     dims_from_weights,
     dominance_leq,
+    dominant_representative,
     fundamental_weight,
     is_dominant,
+    is_weight_of,
     lowering_vector,
     rho,
     simple_root,

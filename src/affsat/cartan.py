@@ -251,3 +251,71 @@ def dominance_leq(nu: Weight, mu: Weight) -> bool:
             f"{nu!r} and {mu!r} do not differ by a root-lattice element"
         )
     return all(x >= 0 for x in u)
+
+
+def _reflect_to_dominant(p: list[int], c: list[int], floor: Optional[int] = None) -> bool:
+    """Apply simple reflections to the weight with pairings p and lowering
+    coefficients c, in place, at a negative pairing until none is left.
+
+    s_i mu = mu - <mu, h_i> alpha_i adds p_i to c_i, negates p_i and adds p_i
+    to the pairings at both neighbours of i (twice to the one neighbour when
+    n = 2).  Each step raises the weight, so c only decreases; with a floor
+    the loop stops, returning False, as soon as some c_i drops below it.
+    """
+    n = len(p)
+    while True:
+        x = min(p)
+        if x >= 0:
+            return True
+        i = p.index(x)
+        c[i] += x
+        if floor is not None and c[i] < floor:
+            return False
+        p[i] = -x
+        p[i - 1] += x
+        p[(i + 1) % n] += x
+
+
+def dominant_representative(mu: Weight) -> Weight:
+    """The unique dominant weight in the affine Weyl group orbit of mu.
+
+    At positive level every orbit meets the dominant chamber exactly once
+    (Kac, Infinite-Dimensional Lie Algebras, §3.12), and reflecting at
+    negative pairings reaches it after finitely many steps.  The w-part of mu
+    is kept.
+    """
+    if mu.level < 1:
+        raise DomainError(f"dominant representative needs positive level, got {mu.level}")
+    c = list(mu.c)
+    _reflect_to_dominant(list(mu.pairings()), c)
+    return Weight(mu.n, mu.w, tuple(c))
+
+
+def dominant_lowering(plam: Sequence[int], u: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Lowering vector, from a dominant lam with pairings plam, of the
+    dominant representative nu of mu = lam - sum_i u_i alpha_i; None when nu
+    is not <= lam.
+
+    Reflections only raise mu, so the first negative coefficient already
+    answers None, after at most sum(u) reflections; a dominant mu takes none.
+    """
+    if min(u) < 0:
+        return None
+    p = [a - b for a, b in zip(plam, cartan_apply(u))]
+    c = list(u)
+    return tuple(c) if _reflect_to_dominant(p, c, 0) else None
+
+
+def is_weight_of(lam: Weight, mu: Weight) -> bool:
+    """True iff mu is a weight of the irreducible module L(lam).
+
+    For dominant lam of positive level these are exactly the weights whose
+    dominant representative is <= lam (Kac, Ch. 11-12, with the W-invariance
+    of multiplicities of §3.7), so this is a lattice test with no crystal
+    graph.
+    """
+    plam = lam.pairings()
+    if min(plam) < 0 or lam.level < 1:
+        raise DomainError(f"highest weight must be dominant of positive level: {lam!r}")
+    u = lowering_vector(lam, mu)
+    return u is not None and dominant_lowering(plam, u) is not None

@@ -356,10 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-n", type=_int_arg, default=None, help="rank (number of residues), >= 2")
         sp.add_argument("-w", default=None, help="framing dims, comma separated (defines lambda)")
         sp.add_argument("--lam", default=None, help="explicit lambda as weight JSON")
-        if mu or budget:  # -v is the budget when no --budget or --depth is given
-            sp.add_argument("-v", default=None, help="gauge dims, comma separated (defines mu)")
         if mu:
+            sp.add_argument("-v", default=None, help="gauge dims, comma separated (defines mu)")
             sp.add_argument("--mu", default=None, help="explicit mu as weight JSON")
+        elif budget:
+            sp.add_argument("-v", default=None, help="lowering budget, comma separated, "
+                                                     "when --budget and --depth are absent")
         if tensor:
             sp.add_argument("--w1", default=None, help="framing dims of the first factor")
             sp.add_argument("--w2", default=None, help="framing dims of the second factor")

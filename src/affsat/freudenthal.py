@@ -12,9 +12,20 @@ runs entirely over Python ints.  Positive roots of A_{n-1}^(1) are the finite
 type-A roots shifted by multiples of the null root delta (multiplicity 1)
 together with the imaginary roots k delta (multiplicity n - 1).
 
-Results are memoized per (lambda, lowering vector); the memo table is a
-functools cache, so concurrent readers are safe and results do not depend on
-call order.
+Multiplicities are invariant under the affine Weyl group W (Kac,
+Infinite-Dimensional Lie Algebras, §3.7), and at positive level every
+W-orbit meets the dominant chamber exactly once (§3.12).  So a query at mu
+is answered at its dominant representative nu (cartan.dominant_lowering):
+zero when nu is not below lambda, and otherwise the recursion at nu, each of
+whose terms mult(nu + k alpha) is reduced the same way (Moody-Patera, Bull.
+AMS 7, 1982).  The recursion is evaluated with an explicit stack, never by
+Python recursion, so its depth is not bounded by the interpreter.
+
+Results are memoized per (lambda, dominant nu) for the life of the process:
+at lambda = Lambda_0, n = 2, the query at lambda - d delta stores the d + 1
+weights lambda - k delta, k <= d.  Every entry is a deterministic function
+of its key, so concurrent callers can at worst compute one twice, and
+results do not depend on call order.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cartan import Weight, cartan_apply, check_rank, lowering_vector
+from .cartan import Weight, cartan_apply, check_rank, dominant_lowering, lowering_vector
 from .errors import ConsistencyError, DomainError
 
 
@@ -62,30 +73,43 @@ def positive_roots(n: int, degree_bound: int) -> tuple[PositiveRoot, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r.coeffs), r.coeffs)))
 
 
-@lru_cache(maxsize=None)
-def _mult(lam: Weight, u: tuple[int, ...]) -> int:
-    if all(x == 0 for x in u):
-        return 1
-    n = lam.n
-    plam = lam.pairings()
-    # |lam+rho|^2 - |mu+rho|^2 = 2 sum u_j (<lam,h_j> + 1) - u^T C u
-    au = cartan_apply(u)
-    denom = 2 * sum(uj * (pj + 1) for uj, pj in zip(u, plam)) - sum(ui * aui for ui, aui in zip(u, au))
-    rhs = 0
+# Per dominant highest weight lam: its pairings, and the multiplicity of each
+# dominant nu <= lam keyed by its lowering vector.  Kept for the life of the
+# process, so later queries at the same lam are lookups.
+_memo: dict[Weight, tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
+
+
+def _terms(plam: tuple[int, ...], u: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The nonzero terms of the Freudenthal sum at mu = lam - u.alpha, as
+    (coefficient, lowering vector of the dominant representative of mu + k alpha).
+
+    Terms with coefficient zero, or whose weight mu + k alpha is not a weight
+    of L(lam), are left out.
+    """
+    n = len(u)
+    terms = []
     for root in positive_roots(n, u[0]):
         e = root.coeffs
         k = 1
         while True:
-            u2 = tuple(x - k * y for x, y in zip(u, e))
-            if any(x < 0 for x in u2):
+            u2 = tuple([x - k * y for x, y in zip(u, e)])
+            if min(u2) < 0:
                 break
-            m2 = _mult(lam, u2)
-            if m2:
-                # (lam - u2.alpha, e.alpha) = sum_i e_i (<lam, h_i> - (C u2)_i)
-                pairing = sum([x * (p - y) for x, p, y in zip(e, plam, cartan_apply(u2))])
-                rhs += root.multiplicity * m2 * pairing
+            # (lam - u2.alpha, e.alpha) = sum_i e_i (<lam, h_i> - (C u2)_i)
+            pairing = sum([x * (p - y) for x, p, y in zip(e, plam, cartan_apply(u2))])
+            if pairing:
+                v = dominant_lowering(plam, u2)
+                if v is not None:
+                    terms.append((root.multiplicity * pairing, v))
             k += 1
-    rhs *= 2
+    return terms
+
+
+def _solve(plam: tuple[int, ...], u: tuple[int, ...], terms, memo) -> int:
+    # |lam+rho|^2 - |mu+rho|^2 = 2 sum u_j (<lam,h_j> + 1) - u^T C u
+    au = cartan_apply(u)
+    denom = 2 * sum(uj * (pj + 1) for uj, pj in zip(u, plam)) - sum(ui * aui for ui, aui in zip(u, au))
+    rhs = 2 * sum(coef * memo[v] for coef, v in terms)
     if denom <= 0:
         # A genuine weight below lambda always has a positive denominator, so
         # this point is only reached off the weight system; the recursion must
@@ -100,15 +124,54 @@ def _mult(lam: Weight, u: tuple[int, ...]) -> int:
     return rhs // denom
 
 
+def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
+    """Multiplicity at the dominant lam - top.alpha, filling memo on the way.
+
+    Every term of the sum at a dominant nu reduces to a dominant weight
+    strictly above nu, so an explicit stack that pushes the missing ones
+    first finishes with no cycle; each entry's terms are built once.
+    """
+    stack = [top]
+    pending: dict[tuple[int, ...], list] = {}
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        terms = pending.get(u)
+        if terms is None:
+            terms = pending[u] = _terms(plam, u)
+            missing = [v for _, v in terms if v not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+        memo[u] = _solve(plam, u, terms, memo)
+        stack.pop()
+    return memo[top]
+
+
 def freudenthal_multiplicity(lam: Weight, mu: Weight) -> int:
     """Multiplicity of mu in the highest-weight module for lambda.
 
-    Zero when lam - mu is not a nonnegative root-lattice element; one at
-    mu = lam.
+    Zero when the dominant representative of mu is not below lambda
+    (cartan.is_weight_of); otherwise the multiplicity at that representative,
+    which equals the one at mu.  One at mu = lam.
     """
-    if not lam.is_dominant():
-        raise DomainError(f"highest weight must be dominant: {lam!r}")
+    entry = _memo.get(lam)
+    if entry is None:
+        plam = lam.pairings()
+        if min(plam) < 0:
+            raise DomainError(f"highest weight must be dominant: {lam!r}")
+        entry = _memo.setdefault(lam, (plam, {(0,) * lam.n: 1}))
+    plam, memo = entry
     u = lowering_vector(lam, mu)
-    if u is None or any(x < 0 for x in u):
+    if u is None:
         return 0
-    return _mult(lam, tuple(u))
+    m = memo.get(u)  # the memo holds only dominant weights: a hit needs no reduction
+    if m is not None:
+        return m
+    nu = dominant_lowering(plam, u)
+    if nu is None:
+        return 0
+    m = memo.get(nu)
+    return m if m is not None else _evaluate(plam, nu, memo)

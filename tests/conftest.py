@@ -31,3 +31,18 @@ def dominant_bases(n, max_level):
 def lowered(lam, u):
     """lam - sum u_i alpha_i as a Weight."""
     return Weight(lam.n, lam.w, tuple(a + b for a, b in zip(lam.c, u)))
+
+
+def coloured_partitions(colours, d):
+    """Number of colours-coloured partitions of d: the coefficient of q^d in
+    prod_{m >= 1} (1 - q^m)^(-colours).  At level 1 of affine sl(n),
+    mult(Lambda_j - d delta) is this number for colours = n - 1
+    (Frenkel-Kac)."""
+    if d < 0:
+        return 0
+    p = [1] + [0] * d
+    for _ in range(colours):
+        for m in range(1, d + 1):
+            for t in range(m, d + 1):
+                p[t] += p[t - m]
+    return p[d]

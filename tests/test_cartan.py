@@ -16,8 +16,11 @@ from affsat import (
     delta,
     dims_from_weights,
     dominance_leq,
+    dominant_representative,
     fundamental_weight,
+    generate_crystal,
     is_dominant,
+    is_weight_of,
     lowering_vector,
     rho,
     simple_root,
@@ -26,7 +29,7 @@ from affsat import (
 )
 from affsat.cartan import _solve_base_shift, cartan_apply
 
-from conftest import lowered
+from conftest import dominant_bases, lowered
 
 
 def test_cartan_matrix_n3():
@@ -289,3 +292,49 @@ def test_lowering_vector_inverts_lowered(w, data):
     rebased = Weight(n, tuple(a + b for a, b in zip(mu.w, cartan_apply(s))),
                      tuple(a + b for a, b in zip(mu.c, s)))
     assert lowering_vector(lam, rebased) == u
+
+
+positive_level_weights = st.integers(2, 5).flatmap(lambda n: st.builds(
+    lambda w, c: Weight(n, tuple(w), tuple(c)),
+    st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
+    st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+
+
+@given(mu=positive_level_weights)
+def test_dominant_representative_properties(mu):
+    nu = dominant_representative(mu)
+    assert nu.is_dominant()
+    assert dominant_representative(nu) == nu
+    assert nu.w == mu.w and dominance_leq(mu, nu)
+    for i in range(mu.n):  # one representative per orbit
+        assert dominant_representative(mu.minus_alpha(i, mu.pairing(i))) == nu
+
+
+def test_dominant_representative_examples():
+    lam = fundamental_weight(2, 0)
+    # At level 1, Lambda_0 - c.alpha is conjugate to Lambda_0 - d delta with
+    # d = c_0 - (c_0 - c_1)^2.
+    assert dominant_representative(lowered(lam, (1, 0))) == lam  # s_0 Lambda_0
+    assert dominant_representative(lowered(lam, (2, 1))) == lowered(lam, (1, 1))
+    assert dominant_representative(lowered(lam, (4, 2))) == lam
+    assert dominant_representative(lowered(lam, (0, 2000))) == lowered(lam, (-4000000,) * 2)
+    with pytest.raises(DomainError):
+        dominant_representative(delta(2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_is_weight_of_matches_crystal(n):
+    for lam in dominant_bases(n, 2):
+        counts = generate_crystal(lam, (3,) * n).weight_counts()
+        for u in itertools.product(range(-1, 4), repeat=n):
+            assert is_weight_of(lam, lowered(lam, u)) == (counts.get(u, 0) > 0), (lam, u)
+
+
+def test_is_weight_of_examples():
+    lam = fundamental_weight(3, 0)
+    assert is_weight_of(lam, lam)
+    assert not is_weight_of(lam, fundamental_weight(3, 1))  # other root-lattice class
+    assert not is_weight_of(lam, lowered(lam, (0, 0, 2000)))
+    for bad in (Weight(2, (1, 0), (1, 0)), Weight(2, (0, 0), (0, 0))):
+        with pytest.raises(DomainError):
+            is_weight_of(bad, bad)

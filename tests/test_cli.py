@@ -241,6 +241,17 @@ def test_help_exits_zero(capsys):
         assert capsys.readouterr().out.startswith("usage: affsat")
 
 
+def test_v_help_names_its_role(capsys):
+    """-v defines mu where there is a mu, and is the budget fallback on crystal and tensor."""
+    budget_help = "lowering budget, comma separated, when --budget and --depth are absent"
+    for command, want in [("crystal", budget_help), ("tensor", budget_help),
+                          ("mult", "gauge dims, comma separated (defines mu)")]:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"-v V {want}" in out, out
+
+
 def test_mu_in_another_base(capsys):
     """A --mu whose w differs from lambda's is compared through the base change."""
     lam = '{"n":2,"w":[1,1],"c":[0,0]}'

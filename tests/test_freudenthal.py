@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from affsat import (
@@ -6,10 +10,20 @@ from affsat import (
     Weight,
     freudenthal_multiplicity,
     fundamental_weight,
+    generate_crystal,
+    lowering_vector,
     positive_roots,
 )
+from affsat import freudenthal
 
-from conftest import dominant_bases, lowered
+from conftest import coloured_partitions, dominant_bases, lowered
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def reflect(mu, i):
+    """s_i mu = mu - <mu, h_i> alpha_i."""
+    return mu.minus_alpha(i, mu.pairing(i))
 
 
 def test_positive_roots_n2_bound0():
@@ -68,16 +82,78 @@ def test_requires_dominant():
 
 
 def test_reflection_symmetry():
-    # multiplicities are invariant under mu -> mu - <mu, h_i> alpha_i
+    # mult(mu) = mult(s_i mu).  Freudenthal answers both at one dominant
+    # representative, so the oracle is the crystal's node count at the
+    # unreduced weight.
+    nondominant = 0
     for n in (2, 3):
         for lam in dominant_bases(n, 2):
+            weights = []
             for u in [(1,) * n, (2,) * n, (2, 1) + (0,) * (n - 2), (0, 1) + (1,) * (n - 2)]:
                 mu = lowered(lam, u)
-                for i in range(n):
-                    reflected = mu.minus_alpha(i, mu.pairing(i))
-                    assert freudenthal_multiplicity(lam, mu) == freudenthal_multiplicity(
-                        lam, reflected
-                    )
+                weights += [mu] + [reflect(mu, i) for i in range(n)]
+            vectors = [lowering_vector(lam, mu) for mu in weights]
+            budget = tuple(max(0, *col) for col in zip(*vectors))
+            counts = generate_crystal(lam, budget).weight_counts()
+            for mu, v in zip(weights, vectors):
+                nondominant += not mu.is_dominant()
+                assert freudenthal_multiplicity(lam, mu) == counts.get(v, 0), (lam, v)
+    assert nondominant > 100
+
+
+@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12), (4, 8)])
+def test_frenkel_kac_level_one(n, depth):
+    # mult(Lambda_j - d delta) is the number of (n-1)-coloured partitions of
+    # d, and so is the multiplicity at each Weyl conjugate of that weight.
+    for j in range(n):
+        lam = fundamental_weight(n, j)
+        for d in range(depth, -1, -1):
+            want = coloured_partitions(n - 1, d)
+            mu = lowered(lam, (d,) * n)
+            conjugate = reflect(reflect(reflect(mu, j), j + 1), j)
+            assert not conjugate.is_dominant()
+            assert freudenthal_multiplicity(lam, mu) == want, (n, j, d)
+            assert freudenthal_multiplicity(lam, conjugate) == want, (n, j, d)
+
+
+def test_frenkel_kac_strings():
+    # The basic-representation strings the acceptance suite pins.
+    assert tuple(coloured_partitions(1, d) for d in range(7)) == (1, 1, 2, 3, 5, 7, 11)
+    assert tuple(coloured_partitions(2, d) for d in range(5)) == (1, 2, 5, 10, 20)
+
+
+def test_memo_holds_dominant_weights_only():
+    lam = Weight(2, (1, 0), (3, 3))  # Lambda_0 - 3 delta: a key no other test fills
+    assert freudenthal_multiplicity(lam, lowered(lam, (80, 80))) == coloured_partitions(1, 80)
+    _, memo = freudenthal._memo[lam]
+    assert len(memo) <= 81
+    assert all(lowered(lam, u).is_dominant() for u in memo)
+
+
+def test_far_below_the_weight_system():
+    # Lambda_0 - 2000 alpha_1 reduces to no weight of L(Lambda_0).
+    lam = fundamental_weight(2, 0)
+    assert freudenthal_multiplicity(lam, lowered(lam, (0, 2000))) == 0
+
+
+RECURSION_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from affsat import freudenthal_multiplicity, fundamental_weight
+sys.setrecursionlimit(150)
+lam = fundamental_weight(2, 0)
+print(freudenthal_multiplicity(lam, lam.lowered((100, 100))))
+"""
+
+
+def test_depth_is_not_bounded_by_the_recursion_limit():
+    # The limit is process-wide, so it is lowered in a child interpreter.
+    proc = subprocess.run(
+        [sys.executable, "-c", RECURSION_SCRIPT, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == coloured_partitions(1, 100)
 
 
 def test_root_dataclass():
