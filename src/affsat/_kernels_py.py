@@ -15,6 +15,7 @@ with addable = open), and reports per residue:
 
 with 0 standing for "none".  Adding the good addable is the lowering operator
 of the level-1 crystal on partitions; removing the good removable raises.
+On a word of (charge, parts) factors, word_scan folds what word_tables collects.
 """
 
 IMPL = "python"
@@ -84,35 +85,20 @@ def word_scan(tables, i):
     return (eps, size, pos_f, pos_e, add_row, rem_row)
 
 
-def expand_node(word, c, budget, n, cache):
-    """Children of a word under every in-budget lowering operator.
-
-    word is a tuple of (charge, parts) factors, c its lowering vector, cache
-    a dict memoizing signature_scan per factor.  Returns a list of
-    (residue, child_word, child_c).
-    """
+def word_tables(word, n, cache):
+    """Each factor's signature_scan table, in word order, memoized in cache
+    by (charge, parts) factor: the only place that memo is filled."""
     tables = []
     for factor in word:
         table = cache.get(factor)
         if table is None:
-            table = signature_scan(factor[1], factor[0], n)
-            cache[factor] = table
+            table = cache[factor] = signature_scan(factor[1], factor[0], n)
         tables.append(table)
-    out = []
-    for i in range(n):
-        if c[i] >= budget[i]:
-            continue
-        _, phi, pos_f, _, add_row, _ = word_scan(tables, i)
-        if phi == 0:
-            continue
-        charge, parts = word[pos_f]
-        child = word[:pos_f] + ((charge, add_cell(parts, add_row)),) + word[pos_f + 1 :]
-        out.append((i, child, c[:i] + (c[i] + 1,) + c[i + 1 :]))
-    return out
+    return tables
 
 
 def expand_level(words, cvecs, frontier, budget, n, cache):
-    """expand_node over a whole BFS frontier, flattened.
+    """Children of every frontier node under each in-budget lowering operator.
 
     Returns a list of (parent_id, residue, child_word, child_c) in frontier
     order with residues ascending, which is what keeps generation
@@ -120,8 +106,17 @@ def expand_level(words, cvecs, frontier, budget, n, cache):
     """
     results = []
     for node_id in frontier:
-        for i, child, cc in expand_node(words[node_id], cvecs[node_id], budget, n, cache):
-            results.append((node_id, i, child, cc))
+        word, c = words[node_id], cvecs[node_id]
+        tables = word_tables(word, n, cache)
+        for i in range(n):
+            if c[i] >= budget[i]:
+                continue
+            _, phi, pos_f, _, add_row, _ = word_scan(tables, i)
+            if phi == 0:
+                continue
+            charge, parts = word[pos_f]
+            child = word[:pos_f] + ((charge, add_cell(parts, add_row)),) + word[pos_f + 1 :]
+            results.append((node_id, i, child, c[:i] + (c[i] + 1,) + c[i + 1 :]))
     return results
 
 

@@ -87,18 +87,18 @@ def _weight_from_json_arg(text: str) -> Weight:
 
 
 def _resolve_lambda(args) -> Weight:
-    if getattr(args, "lam", None):
+    if args.lam:
         return _weight_from_json_arg(args.lam)
-    if args.n is None or getattr(args, "w", None) is None:
+    if args.n is None or args.w is None:
         raise DomainError("pass -n with -w, or an explicit --lam JSON weight")
     w = _parse_vector(args.w, args.n, "w")
     return weights_from_dims(args.n, w, (0,) * args.n)[0]
 
 
 def _resolve_mu(args, lam: Weight) -> Weight:
-    if getattr(args, "mu", None):
+    if args.mu:
         return _weight_from_json_arg(args.mu)
-    if getattr(args, "v", None) is None:
+    if args.v is None:
         raise DomainError("pass -v (lowering vector) or --mu (explicit weight JSON)")
     v = _parse_vector(args.v, lam.n, "v")
     if any(x < 0 for x in v):
@@ -107,23 +107,23 @@ def _resolve_mu(args, lam: Weight) -> Weight:
 
 
 def _resolve_budget(args, lam: Weight) -> tuple[int, ...]:
-    if getattr(args, "budget", None):
+    if args.budget:
         return _parse_vector(args.budget, lam.n, "budget")
-    if getattr(args, "depth", None) is not None:
+    if args.depth is not None:
         if args.depth < 0:
             raise DomainError("--depth must be nonnegative")
         return (args.depth,) * lam.n
-    if getattr(args, "v", None):
+    if args.v:
         return _parse_vector(args.v, lam.n, "v")
     raise DomainError("no budget: pass --budget, --depth or -v")
 
 
 def _tensor_pair(args) -> tuple[Weight, Weight]:
-    if getattr(args, "lam1", None) or getattr(args, "lam2", None):
+    if args.lam1 or args.lam2:
         if not (args.lam1 and args.lam2):
             raise DomainError("--lam1 and --lam2 must be given together")
         return _weight_from_json_arg(args.lam1), _weight_from_json_arg(args.lam2)
-    if not (getattr(args, "w1", None) and getattr(args, "w2", None)):
+    if not (args.w1 and args.w2):
         raise DomainError("tensor queries need --w1 and --w2 (or --lam1/--lam2)")
     if args.n is None:
         raise DomainError("pass -n with --w1/--w2")
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, *, mu=False, tensor=False, residue=False, formats=None,
-               budget=False, depth=False, cache=False, include_empty=False):
+               budget=False, depth=False, cache=False, include_empty=False, node_cap=True):
         sp.add_argument("-n", type=_int_arg, default=None, help="rank (number of residues), >= 2")
         sp.add_argument("-w", default=None, help="framing dims, comma separated (defines lambda)")
         sp.add_argument("--lam", default=None, help="explicit lambda as weight JSON")
@@ -381,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
         if include_empty:
             sp.add_argument("--include-empty", action="store_true",
                             help="keep strata whose regular locus is empty")
-        sp.add_argument("--node-cap", type=_node_cap_arg, default=DEFAULT_NODE_CAP,
-                        help="abort generation beyond this many nodes")
+        if node_cap:
+            sp.add_argument("--node-cap", type=_node_cap_arg, default=DEFAULT_NODE_CAP,
+                            help="abort generation beyond this many nodes")
 
     common(sub.add_parser("crystal", help="truncated crystal graph of lambda"),
            budget=True, depth=True, formats=("json", "dot"), cache=True)
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("branch", help="rank-1 branching table at residue i"),
            mu=True, residue=True, formats=("json", "tsv"))
     common(sub.add_parser("leaves", help="symplectic-leaf stratum labels"),
-           mu=True, include_empty=True)
+           mu=True, include_empty=True, node_cap=False)
     common(sub.add_parser("fixed", help="fixed point and attracting-component counts"),
            mu=True, tensor=True)
     common(sub.add_parser("check", help="compare the crystal engine against Freudenthal"),

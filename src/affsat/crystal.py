@@ -12,22 +12,25 @@ on the factor owning the first surviving addable and raising on the factor
 owning the last surviving removable.  For a single factor this degenerates to
 the level-1 rule in affsat.fock.
 
-Tensor products follow the tensor-product rule: b1.b2 is killed by every e_i
-exactly when b1 is the highest-weight word of B(lambda1) and
-eps_i(b2) <= <lambda1, h_i> for every i.  Decomposition is therefore one pass
-over the truncated B(lambda2), the only graph built, which node_cap bounds.
-
 Truncation is exact: lowering coefficients only ever grow along f-edges, so
 the breadth-first closure under all f_i within a componentwise budget misses
 nothing at the weights it covers.  Results are a deterministic function of
 (lambda, budget), and a finished graph is immutable for all practical
-purposes.
+purposes.  The signature rule runs only where a word is lowered or raised;
+Levi branching and tensor decomposition read eps_i off the i-edges of a
+finished graph (CrystalGraph.eps).
+
+Tensor products follow the tensor-product rule: b1.b2 is killed by every e_i
+exactly when b1 is the highest-weight word of B(lambda1) and
+eps_i(b2) <= <lambda1, h_i> for every i.  Decomposition is therefore one pass
+over the truncated B(lambda2), the only graph built, which node_cap bounds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -96,13 +99,7 @@ def _scan_word(word: Word, i: int, n: int, tables: dict):
     factor indices where lowering / raising act (-1 when undefined) and
     *_row the good rows inside those factors.
     """
-    scans = []
-    for factor in word:
-        table = tables.get(factor)
-        if table is None:
-            table = tables[factor] = kernels.signature_scan(factor[1], factor[0], n)
-        scans.append(table)
-    return kernels.word_scan(scans, i)
+    return kernels.word_scan(kernels.word_tables(word, n, tables), i)
 
 
 def tensor_eps_phi(node: CrystalNode, i: int) -> TensorEpsPhi:
@@ -148,7 +145,6 @@ class CrystalGraph:
         self.words = words
         self.cvecs = cvecs
         self.edges = edges
-        self._weight_counts: Optional[dict[tuple[int, ...], int]] = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -159,24 +155,29 @@ class CrystalGraph:
     def weight_of(self, node_id: int) -> Weight:
         return self.lam.lowered(self.cvecs[node_id])
 
-    def weight_counts(self) -> dict[tuple[int, ...], int]:
+    def weight_counts(self) -> Counter[tuple[int, ...]]:
         """Node counts per lowering vector (relative to lambda)."""
-        if self._weight_counts is None:
-            counts: dict[tuple[int, ...], int] = {}
-            for c in self.cvecs:
-                counts[c] = counts.get(c, 0) + 1
-            self._weight_counts = counts
-        return self._weight_counts
+        return Counter(self.cvecs)
+
+    def eps(self, i: int) -> list[int]:
+        """eps_i of every node: the length of the chain of i-edges into it.
+
+        e_i only lowers c_i, so the whole i-string above a node lies inside
+        the budget.  generate_crystal inserts edges level by level, so one
+        pass in insertion order finishes a parent's value before its child's.
+        """
+        i %= self.n
+        eps = [0] * len(self.words)
+        for (a, j), b in self.edges.items():
+            if j == i:
+                eps[b] = eps[a] + 1
+        return eps
 
     def singular_node_ids(self, i: Optional[int] = None) -> list[int]:
         """Nodes killed by e_i (or by every e_j when i is None)."""
-        tables: dict = {}
-        out = []
-        residues = range(self.n) if i is None else (i % self.n,)
-        for node_id, word in enumerate(self.words):
-            if all(_scan_word(word, j, self.n, tables)[0] == 0 for j in residues):
-                out.append(node_id)
-        return out
+        residues = range(self.n) if i is None else (i,)
+        eps = [self.eps(j) for j in residues]
+        return [node_id for node_id, e in enumerate(zip(*eps)) if not any(e)]
 
     # -- canonical serialization ------------------------------------------
 
@@ -326,23 +327,18 @@ def levi_branching(lam: Weight, mu: Weight, i: int, *,
         return {}
     graph = generate_crystal(lam, u, node_cap=node_cap)
     counts = graph.weight_counts()
-    tables: dict = {}
 
-    highest: dict[int, int] = {}
-    for node_id, c in enumerate(graph.cvecs):
-        k = u[i] - c[i]
-        if c[:i] == u[:i] and c[i + 1 :] == u[i + 1 :] and k >= 0:
-            if _scan_word(graph.words[node_id], i, lam.n, tables)[0] == 0:
-                highest[k] = highest.get(k, 0) + 1
+    highest = Counter(u[i] - c[i] for c, e in zip(graph.cvecs, graph.eps(i))
+                      if e == 0 and c[:i] == u[:i] and c[i + 1 :] == u[i + 1 :])
 
     for k in range(u[i] + 1):
         at_k = counts.get(u[:i] + (u[i] - k,) + u[i + 1 :], 0)
         above = counts.get(u[:i] + (u[i] - k - 1,) + u[i + 1 :], 0) if k < u[i] else 0
         expected = max(0, at_k - above)
-        if highest.get(k, 0) != expected:
+        if highest[k] != expected:
             raise ConsistencyError(
                 f"branching routes disagree at k={k}: highest-node count "
-                f"{highest.get(k, 0)} vs string difference {expected}"
+                f"{highest[k]} vs string difference {expected}"
             )
     return {k: m for k, m in sorted(highest.items()) if m > 0}
 
@@ -366,18 +362,15 @@ def tensor_highest_weights(lam1: Weight, lam2: Weight, budget, *,
     By the tensor-product rule (Kashiwara, Duke Math. J. 63, 1991), b1.b2 is
     killed by every e_i exactly when b1 is the highest-weight word of B(lam1)
     and eps_i(b2) <= phi_i(b1) = <lam1, h_i> for every i.  So this is one
-    pass over B(lam2) truncated at the budget: the only graph built, and the
-    one node_cap bounds.
+    pass over B(lam2) truncated at the budget, the only graph built and the
+    one node_cap bounds, reading eps_i(b2) off that graph's i-edges.
     """
     _require_tensor_factors(lam1, lam2)
-    n = lam1.n
     graph = generate_crystal(lam2, budget, node_cap=node_cap)
-    tables: dict = {}
     bound = lam1.pairings()
-    counts: dict[tuple[int, ...], int] = {}
-    for word, c in zip(graph.words, graph.cvecs):
-        if all(_scan_word(word, i, n, tables)[0] <= bound[i] for i in range(n)):
-            counts[c] = counts.get(c, 0) + 1
+    eps = [graph.eps(i) for i in range(lam1.n)]
+    counts = Counter(c for c, *e in zip(graph.cvecs, *eps)
+                     if all(x <= b for x, b in zip(e, bound)))
     base = lam1 + lam2
     return {base.lowered(c): m for c, m in counts.items()}
 

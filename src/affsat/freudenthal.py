@@ -86,22 +86,24 @@ def _terms(plam: tuple[int, ...], u: tuple[int, ...]) -> list[tuple[int, tuple[i
     Terms with coefficient zero, or whose weight mu + k alpha is not a weight
     of L(lam), are left out.
     """
-    n = len(u)
+    p = [x - y for x, y in zip(plam, cartan_apply(u))]  # <mu, h_i>
     terms = []
-    for root in positive_roots(n, u[0]):
+    for root in positive_roots(len(u), u[0]):
         e = root.coeffs
-        k = 1
-        while True:
-            u2 = tuple([x - k * y for x, y in zip(u, e)])
-            if min(u2) < 0:
-                break
-            # (lam - u2.alpha, e.alpha) = sum_i e_i (<lam, h_i> - (C u2)_i)
-            pairing = sum([x * (p - y) for x, p, y in zip(e, plam, cartan_apply(u2))])
+        u2 = tuple([x - y for x, y in zip(u, e)])
+        if min(u2) < 0:
+            continue
+        # (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha), where
+        # (mu, alpha) = sum_i e_i <mu, h_i> and (alpha, alpha) = e^T C e
+        pairing = sum([x * y for x, y in zip(e, p)])
+        norm = sum([x * y for x, y in zip(e, cartan_apply(e))])
+        while min(u2) >= 0:
+            pairing += norm
             if pairing:
                 v = dominant_lowering(plam, u2)
                 if v is not None:
                     terms.append((root.multiplicity * pairing, v))
-            k += 1
+            u2 = tuple([x - y for x, y in zip(u2, e)])
     return terms
 
 

@@ -123,11 +123,15 @@ def test_criterion_5_crystal_axiom_suite():
         graph = generate_crystal(lam, budget)
         total_nodes += len(graph)
         tables = {}
+        edge_eps = [graph.eps(i) for i in range(n)]
         for node_id, word in enumerate(graph.words):
             wt = graph.weight_of(node_id)
             for i in range(n):
                 eps, phi, _, _, _, _ = _scan_word(word, i, n, tables)
                 if phi - eps != wt.pairing(i):
+                    violations += 1
+                # eps read off the i-edges equals the signature rule's
+                if edge_eps[i][node_id] != eps:
                     violations += 1
                 child_id = graph.edges.get((node_id, i))
                 if child_id is None:

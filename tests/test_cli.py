@@ -1,11 +1,19 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from affsat.cli import main
+
+# `python -m affsat` in a child interpreter, importing this checkout's src/
+# whether or not the package is installed.
+AFFSAT = [sys.executable, "-m", "affsat"]
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +235,8 @@ def test_validation_errors(capsys):
         (("crystal", "-n", "2", "-w", "1,0", "--depth", "1", "--mu", "garbage"), "unrecognized"),
         (("tensor", "-n", "3", "--w1", "0,1,0", "--w2", "0,0,1", "-v", "0,1,1",
           "--mu", "garbage"), "unrecognized"),
+        # leaves builds no crystal, so it has no node cap
+        (("leaves", "-n", "2", "-w", "1,0", "-v", "1,1", "--node-cap", "5"), "unrecognized"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -369,10 +379,10 @@ def test_cache_concurrent_writers(tmp_path):
     # to the scheduler.
     for round_no in range(5):
         cache_dir = tmp_path / str(round_no)
-        argv = [sys.executable, "-m", "affsat", "crystal", "-n", "3", "-w", "1,1,0",
+        argv = [*AFFSAT, "crystal", "-n", "3", "-w", "1,1,0",
                 "--depth", "4", "--cache-dir", str(cache_dir)]
         procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                  text=True) for _ in range(4)]
+                                  text=True, env=SRC_ENV) for _ in range(4)]
         results = [proc.communicate(timeout=60) for proc in procs]
         assert [proc.returncode for proc in procs] == [0] * 4
         assert [err for _, err in results] == [""] * 4
@@ -393,14 +403,14 @@ def test_env_var_cache_dir(tmp_path, monkeypatch, capsys):
 
 def test_module_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "affsat", "mult", "-n", "2", "-w", "1,0", "-v", "1,1"],
-        capture_output=True, text=True,
+        [*AFFSAT, "mult", "-n", "2", "-w", "1,0", "-v", "1,1"],
+        capture_output=True, text=True, env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"multiplicity": 1}
     proc = subprocess.run(
-        [sys.executable, "-m", "affsat", "mult", "-n", "2", "-w", "1,0", "-v", "1"],
-        capture_output=True, text=True,
+        [*AFFSAT, "mult", "-n", "2", "-w", "1,0", "-v", "1"],
+        capture_output=True, text=True, env=SRC_ENV,
     )
     assert proc.returncode == 2
 
