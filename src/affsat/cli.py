@@ -5,19 +5,26 @@ document to stdout and keeps diagnostics on stderr.  Exit codes: 0 success,
 2 validation error, 3 node-cap exceeded, 1 internal inconsistency (should
 not happen; it means the two multiplicity routes disagreed).
 
-Weights are entered either through the dimension-vector dictionary
-(-w framing dims, -v gauge dims, so lambda = sum w_i Lambda_i and
-mu = lambda - sum v_i alpha_i) or as explicit {"n":..,"w":..,"c":..} JSON.
+The parser is the contract: each subcommand binds its handler and declares
+exactly the options the handler reads.  Each input is given one way, except
+the budget: --budget, else --depth, else -v.
+lambda is -n with -w framing dims (lambda = sum w_i Lambda_i) or --lam weight
+JSON {"n":..,"w":..,"c":..}, which carries its own rank, so -n goes only with
+-w, --w1 and --w2.  mu is -v gauge dims (mu = lambda - sum v_i alpha_i) or
+--mu JSON.  mult and fixed take lambda or a tensor pair (--w1/--w2 or
+--lam1/--lam2).
 The graph cache keeps one file {key}.json per key under --cache-dir (default
-$AFFSAT_CACHE_DIR), keyed by a digest of (schema version, rank, lambda,
-budget, convention id).  An entry is the document's sha256 hex digest, a
-newline and the document; a warm hit serves it byte-identical once the
-digest matches.  Version-1 entries are never read and can be deleted.
+$AFFSAT_CACHE_DIR; an empty value means no cache), keyed by a digest of
+(schema version, rank, lambda, budget, convention id).  An entry is the
+document's sha256 hex digest, a newline and the document; a warm hit serves
+it byte-identical once the digest matches.  Version-1 entries are never read
+and can be deleted.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -86,20 +93,24 @@ def _weight_from_json_arg(text: str) -> Weight:
     return Weight.from_json(obj)
 
 
+def _framed(n: int, w: str, name: str) -> Weight:
+    """The dominant weight sum w_i Lambda_i of framing dims w at rank n."""
+    return weights_from_dims(n, _parse_vector(w, n, name), (0,) * n)[0]
+
+
 def _resolve_lambda(args) -> Weight:
-    if args.lam:
+    if args.lam is not None:
+        if args.n is not None:
+            raise DomainError("-n goes with -w, not --lam: weight JSON carries its own rank")
         return _weight_from_json_arg(args.lam)
     if args.n is None or args.w is None:
         raise DomainError("pass -n with -w, or an explicit --lam JSON weight")
-    w = _parse_vector(args.w, args.n, "w")
-    return weights_from_dims(args.n, w, (0,) * args.n)[0]
+    return _framed(args.n, args.w, "w")
 
 
 def _resolve_mu(args, lam: Weight) -> Weight:
-    if args.mu:
+    if args.mu is not None:
         return _weight_from_json_arg(args.mu)
-    if args.v is None:
-        raise DomainError("pass -v (lowering vector) or --mu (explicit weight JSON)")
     v = _parse_vector(args.v, lam.n, "v")
     if any(x < 0 for x in v):
         raise DomainError("v entries must be nonnegative")
@@ -119,19 +130,29 @@ def _resolve_budget(args, lam: Weight) -> tuple[int, ...]:
 
 
 def _tensor_pair(args) -> tuple[Weight, Weight]:
-    if args.lam1 or args.lam2:
-        if not (args.lam1 and args.lam2):
+    if args.lam1 is not None or args.lam2 is not None:
+        if args.lam1 is None or args.lam2 is None:
             raise DomainError("--lam1 and --lam2 must be given together")
+        if args.n is not None:
+            raise DomainError("-n goes with --w1/--w2, not --lam1/--lam2")
         return _weight_from_json_arg(args.lam1), _weight_from_json_arg(args.lam2)
-    if not (args.w1 and args.w2):
+    if args.w1 is None or args.w2 is None:
         raise DomainError("tensor queries need --w1 and --w2 (or --lam1/--lam2)")
     if args.n is None:
         raise DomainError("pass -n with --w1/--w2")
-    w1 = _parse_vector(args.w1, args.n, "w1")
-    w2 = _parse_vector(args.w2, args.n, "w2")
-    lam1, _ = weights_from_dims(args.n, w1, (0,) * args.n)
-    lam2, _ = weights_from_dims(args.n, w2, (0,) * args.n)
-    return lam1, lam2
+    return _framed(args.n, args.w1, "w1"), _framed(args.n, args.w2, "w2")
+
+
+def _operands(args) -> tuple[Weight, Optional[Weight], Weight]:
+    """(lambda1, lambda2, mu) of mult and fixed.  Any tensor factor option
+    selects the tensor form; otherwise lambda2 is None and lambda1 is lambda."""
+    if args.w1 is None and args.w2 is None and args.lam1 is None and args.lam2 is None:
+        lam = _resolve_lambda(args)
+        return lam, None, _resolve_mu(args, lam)
+    if args.w is not None or args.lam is not None:
+        raise DomainError("-w/--lam and the tensor factors --w1/--w2/--lam1/--lam2 conflict")
+    lam1, lam2 = _tensor_pair(args)
+    return lam1, lam2, _resolve_mu(args, lam1 + lam2)
 
 
 # -- cache ------------------------------------------------------------------
@@ -214,22 +235,17 @@ def dot_from_graph_json(doc: str) -> str:
 def _cmd_crystal(args) -> tuple[str, int]:
     lam = _resolve_lambda(args)
     budget = _resolve_budget(args, lam)
-    if args.format not in ("json", "dot"):
-        raise DomainError(f"unknown format {args.format!r} for crystal (json or dot)")
-    cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
+    cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None
     doc = cache_get_or_build(lam, budget, cache_dir, node_cap=args.node_cap)
     return (dot_from_graph_json(doc) if args.format == "dot" else doc), EXIT_OK
 
 
 def _cmd_mult(args) -> tuple[str, int]:
-    if args.w1 or args.lam1:
-        lam1, lam2 = _tensor_pair(args)
-        mu = _resolve_mu(args, lam1 + lam2)
-        m = crystal.tensor_weight_multiplicity(lam1, lam2, mu, node_cap=args.node_cap)
+    lam1, lam2, mu = _operands(args)
+    if lam2 is None:
+        m = crystal.weight_multiplicity(lam1, mu, node_cap=args.node_cap)
     else:
-        lam = _resolve_lambda(args)
-        mu = _resolve_mu(args, lam)
-        m = crystal.weight_multiplicity(lam, mu, node_cap=args.node_cap)
+        m = crystal.tensor_weight_multiplicity(lam1, lam2, mu, node_cap=args.node_cap)
     return canonical_dumps({"multiplicity": m}), EXIT_OK
 
 
@@ -245,12 +261,8 @@ def _cmd_tensor(args) -> tuple[str, int]:
 
 
 def _cmd_branch(args) -> tuple[str, int]:
-    if args.format not in ("json", "tsv"):
-        raise DomainError(f"unknown format {args.format!r} for branch (json or tsv)")
     lam = _resolve_lambda(args)
     mu = _resolve_mu(args, lam)
-    if args.i is None:
-        raise DomainError("branch requires a residue: pass -i")
     if not 0 <= args.i < lam.n:
         raise DomainError(f"-i must be a residue in 0..{lam.n - 1}, got {args.i}")
     rows = satake.sheaf_multiplicity_table(lam, mu, args.i, node_cap=args.node_cap)
@@ -278,29 +290,19 @@ def _cmd_leaves(args) -> tuple[str, int]:
 
 
 def _cmd_fixed(args) -> tuple[str, int]:
-    if args.w1 or args.lam1:
-        lam1, lam2 = _tensor_pair(args)
-        mu = _resolve_mu(args, lam1 + lam2)
+    lam1, lam2, mu = _operands(args)
+    if lam2 is None:
+        count = satake.attracting_component_count(lam1, mu, node_cap=args.node_cap)
+        doc = {"fixed_point_count": 1 if count > 0 else 0, "attracting_component_count": count}
+    else:
         splittings = satake.tensor_fixed_points(lam1, lam2, mu, node_cap=args.node_cap)
-        doc = canonical_dumps({
-            "count": len(splittings),
-            "splittings": [{"mu1": a.to_json(), "mu2": b.to_json()} for a, b in splittings],
-        })
-        return doc, EXIT_OK
-    lam = _resolve_lambda(args)
-    mu = _resolve_mu(args, lam)
-    count = satake.attracting_component_count(lam, mu, node_cap=args.node_cap)
-    doc = canonical_dumps({
-        "fixed_point_count": 1 if count > 0 else 0,
-        "attracting_component_count": count,
-    })
-    return doc, EXIT_OK
+        doc = {"count": len(splittings),
+               "splittings": [{"mu1": a.to_json(), "mu2": b.to_json()} for a, b in splittings]}
+    return canonical_dumps(doc), EXIT_OK
 
 
 def _cmd_check(args) -> tuple[str, int]:
     lam = _resolve_lambda(args)
-    if args.depth is None:
-        raise DomainError("check requires --depth")
     budget = (args.depth,) * lam.n
     graph = crystal.generate_crystal(lam, budget, node_cap=args.node_cap)
     counts = graph.weight_counts()
@@ -325,24 +327,22 @@ def _cmd_check(args) -> tuple[str, int]:
     return doc, EXIT_OK if ok else EXIT_INTERNAL
 
 
-_HANDLERS = {
-    "crystal": _cmd_crystal,
-    "mult": _cmd_mult,
-    "tensor": _cmd_tensor,
-    "branch": _cmd_branch,
-    "leaves": _cmd_leaves,
-    "fixed": _cmd_fixed,
-    "check": _cmd_check,
-}
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         """A malformed command line is a validation error: exit 2, one stderr line."""
         raise DomainError(message)
 
 
+def _one_of(parser, *options, required=False) -> None:
+    """(flag, help) pairs of options that exclude each other."""
+    group = parser.add_mutually_exclusive_group(required=required)
+    for flag, text in options:
+        group.add_argument(flag, help=text)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand, its handler and the options it reads; built once, on first use."""
     parser = _ArgumentParser(
         prog="affsat",
         description="Affine type-A crystal combinatorics: truncated crystal graphs, "
@@ -351,61 +351,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, mu=False, tensor=False, residue=False, formats=None,
-               budget=False, depth=False, cache=False, include_empty=False, node_cap=True):
-        sp.add_argument("-n", type=_int_arg, default=None, help="rank (number of residues), >= 2")
-        sp.add_argument("-w", default=None, help="framing dims, comma separated (defines lambda)")
-        sp.add_argument("--lam", default=None, help="explicit lambda as weight JSON")
-        if mu:
-            sp.add_argument("-v", default=None, help="gauge dims, comma separated (defines mu)")
-            sp.add_argument("--mu", default=None, help="explicit mu as weight JSON")
-        elif budget:
-            sp.add_argument("-v", default=None, help="lowering budget, comma separated, "
-                                                     "when --budget and --depth are absent")
+    def command(name, handler, about, *, lam=True, mu=False, tensor=False, budget=False,
+                node_cap=True):
+        sp = sub.add_parser(name, help=about)
+        sp.set_defaults(handler=handler)
+        sp.add_argument("-n", type=_int_arg, help="rank (number of residues) of framing dims, >= 2")
+        if lam:
+            _one_of(sp, ("-w", "framing dims, comma separated (defines lambda)"),
+                    ("--lam", "explicit lambda as weight JSON"))
         if tensor:
-            sp.add_argument("--w1", default=None, help="framing dims of the first factor")
-            sp.add_argument("--w2", default=None, help="framing dims of the second factor")
-            sp.add_argument("--lam1", default=None, help="first factor as weight JSON")
-            sp.add_argument("--lam2", default=None, help="second factor as weight JSON")
-        if residue:
-            sp.add_argument("-i", type=_int_arg, default=None, help="residue index in 0..n-1")
+            _one_of(sp, ("--w1", "framing dims of the first factor"),
+                    ("--lam1", "first factor as weight JSON"))
+            _one_of(sp, ("--w2", "framing dims of the second factor"),
+                    ("--lam2", "second factor as weight JSON"))
+        if mu:
+            _one_of(sp, ("-v", "gauge dims, comma separated (defines mu)"),
+                    ("--mu", "explicit mu as weight JSON"), required=True)
         if budget:
-            sp.add_argument("--budget", default=None, help="lowering budget, comma separated")
-        if depth:
-            sp.add_argument("--depth", type=_int_arg, default=None, help="uniform budget shorthand")
-        if formats:
-            sp.add_argument("--format", default="json", help=f"output format ({'|'.join(formats)})")
-        if cache:
-            sp.add_argument("--cache-dir", default=None,
-                            help=f"graph cache directory (default ${ENV_CACHE_DIR})")
-        if include_empty:
-            sp.add_argument("--include-empty", action="store_true",
-                            help="keep strata whose regular locus is empty")
+            sp.add_argument("-v", help="lowering budget, comma separated, "
+                                       "when --budget and --depth are absent")
+            sp.add_argument("--budget", help="lowering budget, comma separated")
+            sp.add_argument("--depth", type=_int_arg, help="uniform budget shorthand")
         if node_cap:
             sp.add_argument("--node-cap", type=_node_cap_arg, default=DEFAULT_NODE_CAP,
                             help="abort generation beyond this many nodes")
+        return sp
 
-    common(sub.add_parser("crystal", help="truncated crystal graph of lambda"),
-           budget=True, depth=True, formats=("json", "dot"), cache=True)
-    common(sub.add_parser("mult", help="weight multiplicity (tensor variant via --w1/--w2)"),
-           mu=True, tensor=True)
-    common(sub.add_parser("tensor", help="tensor decomposition within a budget"),
-           tensor=True, budget=True, depth=True)
-    common(sub.add_parser("branch", help="rank-1 branching table at residue i"),
-           mu=True, residue=True, formats=("json", "tsv"))
-    common(sub.add_parser("leaves", help="symplectic-leaf stratum labels"),
-           mu=True, include_empty=True, node_cap=False)
-    common(sub.add_parser("fixed", help="fixed point and attracting-component counts"),
-           mu=True, tensor=True)
-    common(sub.add_parser("check", help="compare the crystal engine against Freudenthal"),
-           depth=True)
+    sp = command("crystal", _cmd_crystal, "truncated crystal graph of lambda", budget=True)
+    sp.add_argument("--format", choices=("json", "dot"), default="json", help="output format")
+    sp.add_argument("--cache-dir", help=f"graph cache directory (default ${ENV_CACHE_DIR})")
+    command("mult", _cmd_mult, "weight multiplicity (tensor variant via --w1/--w2)",
+            mu=True, tensor=True)
+    command("tensor", _cmd_tensor, "tensor decomposition within a budget",
+            lam=False, tensor=True, budget=True)
+    sp = command("branch", _cmd_branch, "rank-1 branching table at residue i", mu=True)
+    sp.add_argument("-i", type=_int_arg, required=True, help="residue index in 0..n-1")
+    sp.add_argument("--format", choices=("json", "tsv"), default="json", help="output format")
+    sp = command("leaves", _cmd_leaves, "symplectic-leaf stratum labels", mu=True,
+                 node_cap=False)
+    sp.add_argument("--include-empty", action="store_true",
+                    help="keep strata whose regular locus is empty")
+    command("fixed", _cmd_fixed, "fixed point and attracting-component counts",
+            mu=True, tensor=True)
+    sp = command("check", _cmd_check, "compare the crystal engine against Freudenthal")
+    sp.add_argument("--depth", type=_int_arg, required=True, help="uniform budget")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        doc, code = _HANDLERS[args.command](args)
+        doc, code = args.handler(args)
     except (RankError, DomainError, IncomparableWeightsError) as exc:
         print(f"affsat: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

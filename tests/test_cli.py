@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from affsat.cli import main
+from affsat.cli import build_parser, main
 
 # `python -m affsat` in a child interpreter, importing this checkout's src/
 # whether or not the package is installed.
@@ -110,10 +113,10 @@ def test_crystal_dot_pinned(tmp_path, capsys, argv, digest):
 
 
 def test_crystal_unknown_format(capsys):
-    code, _, err = run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "1",
-                           "--format", "svg")
-    assert code == 2
-    assert "unknown format" in err
+    code, out, err = run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "1",
+                             "--format", "svg")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "invalid choice" in err
 
 
 def test_branch_tsv(capsys):
@@ -181,7 +184,6 @@ def test_fixed_tensor_variant(capsys):
 
 
 def test_validation_errors(capsys):
-    assert run_cli(capsys, "mult", "-n", "2", "-w", "1,0")[0] == 2          # no mu
     assert run_cli(capsys, "mult", "-n", "2", "-w", "1,x", "-v", "0,0")[0] == 2
     assert run_cli(capsys, "mult", "-n", "3", "-w", "1,0", "-v", "0,0,0")[0] == 2
     assert run_cli(capsys, "mult", "-n", "1", "-w", "1", "-v", "0")[0] == 2
@@ -237,6 +239,36 @@ def test_validation_errors(capsys):
           "--mu", "garbage"), "unrecognized"),
         # leaves builds no crystal, so it has no node cap
         (("leaves", "-n", "2", "-w", "1,0", "-v", "1,1", "--node-cap", "5"), "unrecognized"),
+        # Each form below was accepted with part of it never read.
+        # tensor reads no lambda: -w and --lam are not its options
+        (("tensor", "-n", "2", "-w", "9,9", "--lam", "garbage", "--w1", "1,0", "--w2", "0,1",
+          "--depth", "1"), "--lam"),
+        (("tensor", "-n", "2", "-w", "9,9", "--w1", "1,0", "--w2", "0,1", "--depth", "1"),
+         "unrecognized arguments: -w 9,9"),
+        # any tensor factor selects the tensor form, which reads no -w or --lam
+        (("mult", "-n", "2", "-w", "1,0", "-v", "0,0", "--w2", "0,1"), "tensor factors"),
+        (("fixed", "-n", "2", "-w", "1,0", "-v", "0,0", "--lam2", "garbage"),
+         "tensor factors"),
+        (("mult", "-n", "2", "-w", "0,1", "--w1", "1,0", "--w2", "0,1", "-v", "0,0"),
+         "tensor factors"),
+        # lambda, mu and each tensor factor are given one way
+        (("mult", "-n", "2", "-w", "1,1", "--lam", '{"n":2,"w":[1,0],"c":[0,0]}', "-v", "1,1"),
+         "not allowed with"),
+        (("mult", "-n", "2", "-w", "1,0", "-v", "1,1", "--mu", '{"n":2,"w":[1,0],"c":[2,2]}'),
+         "not allowed with"),
+        (("fixed", "-n", "2", "--w1", "1,0", "--lam1", '{"n":2,"w":[1,0],"c":[0,0]}',
+          "--w2", "0,1", "-v", "0,0"), "not allowed with"),
+        # weight JSON carries its rank: -n beside it is never read
+        (("crystal", "-n", "3", "--lam", '{"n":2,"w":[1,0],"c":[0,0]}', "--depth", "1"),
+         "-n goes with -w"),
+        (("mult", "-n", "2", "--lam1", '{"n":2,"w":[1,0],"c":[0,0]}',
+          "--lam2", '{"n":2,"w":[0,1],"c":[0,0]}', "-v", "1,1"), "-n goes with --w1/--w2"),
+        # what the parser requires
+        (("mult", "-n", "2", "-w", "1,0"), "one of the arguments -v --mu is required"),
+        (("branch", "-n", "2", "-w", "1,0", "-v", "2,2"), "required: -i"),
+        (("check", "-n", "2", "-w", "1,0"), "required: --depth"),
+        (("branch", "-n", "2", "-w", "1,0", "-v", "2,2", "-i", "1", "--format", "dot"),
+         "invalid choice"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -249,6 +281,18 @@ def test_help_exits_zero(capsys):
             main(list(argv))
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: affsat")
+
+
+def test_tensor_help_lists_no_lambda(capsys):
+    with pytest.raises(SystemExit):
+        main(["tensor", "--help"])
+    out = capsys.readouterr().out
+    assert "--w1 W1" in out
+    assert "-w W" not in out and "--lam LAM" not in out
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_v_help_names_its_role(capsys):
@@ -401,6 +445,15 @@ def test_env_var_cache_dir(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.glob("*.json"))
 
 
+def test_empty_env_var_means_no_cache(tmp_path, monkeypatch, capsys):
+    argv = ("crystal", "-n", "2", "-w", "1,0", "--depth", "1")
+    _, want, _ = run_cli(capsys, *argv)
+    monkeypatch.setenv("AFFSAT_CACHE_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (0, want, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [*AFFSAT, "mult", "-n", "2", "-w", "1,0", "-v", "1,1"],
@@ -442,3 +495,109 @@ def test_check_weight_off_delta(capsys, lam):
     assert code == 0
     assert ": OK (" in err
     assert json.loads(out)["disagreements"] == []
+
+
+# -- argv fuzz ------------------------------------------------------------------
+
+def _argv(n: int, cache_dir: str):
+    """argv at rank n: a well-formed command line over the CLI's option
+    vocabulary, then in most cases one mutation (a part dropped, a value
+    replaced by junk, or stray options and tokens added), in a random order."""
+    entries = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    framing = entries.filter(any)  # level >= 1
+
+    def weight(w, c):
+        return st.tuples(w, c).map(lambda wc: json.dumps({"n": n, "w": wc[0], "c": wc[1]}))
+
+    # dominant when c is a multiple of delta
+    highest = weight(framing, st.integers(-1, 3).map(lambda k: [k] * n))
+    shifted = weight(entries, st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    values = {
+        "-n": st.just(str(n)),
+        "--depth": st.integers(0, 3).map(str),
+        "-i": st.integers(0, n - 1).map(str),
+        "--format": st.sampled_from(["json", "dot", "tsv"]),
+        "--node-cap": st.sampled_from(["1", "50", "100000", "100000"]),
+        "--cache-dir": st.just(cache_dir),
+        "--include-empty": st.just(None),
+        "--mu": shifted,
+        **dict.fromkeys(("-w", "--w1", "--w2"), framing.map(lambda v: ",".join(map(str, v)))),
+        **dict.fromkeys(("-v", "--budget"), entries.map(lambda v: ",".join(map(str, v)))),
+        **dict.fromkeys(("--lam", "--lam1", "--lam2"), highest),
+    }
+
+    def opt(*flags):
+        return st.tuples(*map(values.get, flags)).map(lambda vs: [
+            token for flag, v in zip(flags, vs) for token in ([flag] if v is None else [flag, v])])
+
+    def fmt(*choices):
+        return st.sampled_from(choices).map(lambda f: ["--format", f])
+
+    lam = opt("-n", "-w") | opt("--lam")
+    pair = opt("-n", "--w1", "--w2") | opt("--lam1", "--lam2")
+    mu = opt("-v") | opt("--mu")
+    budget = opt("--depth") | opt("--budget") | opt("-v")
+    own = {
+        "crystal": [lam, budget, fmt("json", "dot"), opt("--cache-dir"), opt("--node-cap")],
+        "mult": [lam | pair, mu, opt("--node-cap")],
+        "tensor": [pair, budget, opt("--node-cap")],
+        "branch": [lam, mu, opt("-i"), fmt("json", "tsv"), opt("--node-cap")],
+        "leaves": [lam, mu, opt("--include-empty")],
+        "fixed": [lam | pair, mu, opt("--node-cap")],
+        "check": [lam, opt("--depth"), opt("--node-cap")],
+    }
+    junk = st.sampled_from(["", "x", "-", "--", "--bogus", "-1", "1,2,3,4", "{", "-h", "--help",
+                            str(5 - n), '{"n":2}'])
+    stray = st.sampled_from(sorted(values)).flatmap(opt) | junk.map(lambda t: [t])
+
+    def mutate(parts, how):
+        if how == "drop":
+            return st.integers(0, len(parts) - 1).map(lambda k: parts[:k] + parts[k + 1:])
+        if how == "junk":
+            return st.tuples(st.integers(0, len(parts) - 1), junk).map(
+                lambda kj: [p if k != kj[0] else p[:-1] + [kj[1]] for k, p in enumerate(parts)])
+        if how == "stray":
+            return st.lists(stray, min_size=1, max_size=2).map(lambda extra: parts + extra)
+        return st.just(parts)
+
+    def command(name):
+        how = st.sampled_from(["keep", "keep", "drop", "junk", "stray"])
+        return st.tuples(st.tuples(*own[name]), how).flatmap(
+            lambda ph: mutate(list(ph[0]), ph[1])).flatmap(st.permutations).map(
+            lambda parts: [name, *(token for p in parts for token in p)])
+
+    return st.sampled_from(sorted(own) + ["", "bogus"]).flatmap(
+        lambda name: command(name) if name in own else stray.map(lambda t: [name, *t]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_argv_fuzz(tmp_path_factory, data):
+    """Every argv exits 0, 2 or 3.  A failure prints nothing to stdout and one
+    stderr line; a success prints exactly one document in its format."""
+    cache_dir = str(tmp_path_factory.getbasetemp() / "fuzz-cache")
+    argv = data.draw(_argv(data.draw(st.sampled_from([2, 3])), cache_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0 and {"-h", "--help"} & set(argv), argv
+            assert out.getvalue().startswith("usage: affsat"), argv
+            return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, code, err)
+    if code:
+        assert out == "" and len(err.splitlines()) == 1, (argv, err)
+        return
+    assert len(err.splitlines()) <= 1, (argv, err)
+    fmt = getattr(build_parser().parse_args(argv), "format", "json")
+    if fmt == "json":
+        assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv
+    elif fmt == "dot":
+        assert out.startswith("digraph crystal {\n") and out.endswith("\n}\n"), argv
+        assert out.count("digraph") == 1, argv
+    else:
+        header, *rows = out.splitlines()
+        assert header == "k\tkappa_prime\tpairing\tmultiplicity", argv
+        assert all(len(row.split("\t")) == 4 for row in rows), argv
