@@ -15,8 +15,13 @@ with addable = open), and reports per residue:
 
 with 0 standing for "none".  Adding the good addable is the lowering operator
 of the level-1 crystal on partitions; removing the good removable raises.
-On a word of (charge, parts) factors, word_scan folds what word_tables collects.
+A word is a tuple of factor ids in a FactorTable, which interns each
+(charge, parts) factor once and memoizes its scan and its lowerings:
+FactorTable.intern is the one place scan tables are filled, and word_scan
+the one fold of them across a word.
 """
+
+from .errors import ResourceCapError
 
 IMPL = "python"
 
@@ -85,39 +90,72 @@ def word_scan(tables, i):
     return (eps, size, pos_f, pos_e, add_row, rem_row)
 
 
-def word_tables(word, n, cache):
-    """Each factor's signature_scan table, in word order, memoized in cache
-    by (charge, parts) factor: the only place that memo is filled."""
-    tables = []
-    for factor in word:
-        table = cache.get(factor)
-        if table is None:
-            table = cache[factor] = signature_scan(factor[1], factor[0], n)
-        tables.append(table)
-    return tables
+class FactorTable:
+    """Interned (charge, parts) factors of one generation, keyed by id.
 
-
-def expand_level(words, cvecs, frontier, budget, n, cache):
-    """Children of every frontier node under each in-budget lowering operator.
-
-    Returns a list of (parent_id, residue, child_word, child_c) in frontier
-    order with residues ascending, which is what keeps generation
-    deterministic.
+    factors[id] is the factor, scans[id] its signature_scan table (computed
+    once, when intern first sees the factor: the only place scans are
+    stored) and lowered[id][i] the id of the factor with its good i-addable
+    cell added, None until first asked for.  The good addable row depends
+    only on the factor, so the lowered memo is exact.
     """
-    results = []
+
+    def __init__(self, n):
+        self.n = n
+        self.factors = []
+        self.scans = []
+        self.lowered = []
+        self.ids = {}
+
+    def intern(self, factor):
+        """The id of a (charge, parts) factor, interning it on first sight."""
+        fid = self.ids.get(factor)
+        if fid is None:
+            fid = self.ids[factor] = len(self.factors)
+            self.factors.append(factor)
+            self.scans.append(signature_scan(factor[1], factor[0], self.n))
+            self.lowered.append([None] * self.n)
+        return fid
+
+
+def expand_level(frontier, words, cvecs, index, edges, budget, table, node_cap):
+    """Lower one BFS level in place and return the next frontier.
+
+    words are tuples of factor ids in table, index maps each word to its
+    node id, and edges[(parent, i)] receives the child's node id.  Each
+    frontier node is lowered under every in-budget f_i, residues ascending;
+    a child not yet in index is appended (its cvec computed then), which is
+    what keeps generation deterministic.  Reaching node_cap nodes raises
+    ResourceCapError before the node is stored.
+    """
+    scans, lowered, n = table.scans, table.lowered, table.n
+    next_frontier = []
     for node_id in frontier:
         word, c = words[node_id], cvecs[node_id]
-        tables = word_tables(word, n, cache)
+        tables = list(map(scans.__getitem__, word))
         for i in range(n):
             if c[i] >= budget[i]:
                 continue
             _, phi, pos_f, _, add_row, _ = word_scan(tables, i)
             if phi == 0:
                 continue
-            charge, parts = word[pos_f]
-            child = word[:pos_f] + ((charge, add_cell(parts, add_row)),) + word[pos_f + 1 :]
-            results.append((node_id, i, child, c[:i] + (c[i] + 1,) + c[i + 1 :]))
-    return results
+            f = word[pos_f]
+            g = lowered[f][i]
+            if g is None:
+                charge, parts = table.factors[f]
+                g = lowered[f][i] = table.intern((charge, add_cell(parts, add_row)))
+            child = word[:pos_f] + (g,) + word[pos_f + 1 :]
+            child_id = index.get(child)
+            if child_id is None:
+                child_id = len(words)
+                if child_id >= node_cap:
+                    raise ResourceCapError(node_cap, budget, child_id + 1)
+                index[child] = child_id
+                words.append(child)
+                cvecs.append(c[:i] + (c[i] + 1,) + c[i + 1 :])
+                next_frontier.append(child_id)
+            edges[(node_id, i)] = child_id
+    return next_frontier
 
 
 def residue_counts(parts, charge, n):

@@ -118,13 +118,13 @@ def _resolve_mu(args, lam: Weight) -> Weight:
 
 
 def _resolve_budget(args, lam: Weight) -> tuple[int, ...]:
-    if args.budget:
+    if args.budget is not None:
         return _parse_vector(args.budget, lam.n, "budget")
     if args.depth is not None:
         if args.depth < 0:
             raise DomainError("--depth must be nonnegative")
         return (args.depth,) * lam.n
-    if args.v:
+    if args.v is not None:
         return _parse_vector(args.v, lam.n, "v")
     raise DomainError("no budget: pass --budget, --depth or -v")
 
@@ -345,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     """Each subcommand, its handler and the options it reads; built once, on first use."""
     parser = _ArgumentParser(
         prog="affsat",
+        allow_abbrev=False,
         description="Affine type-A crystal combinatorics: truncated crystal graphs, "
                     "weight multiplicities, tensor decompositions, branching tables, "
                     "symplectic-leaf labels and fixed-point predicates.",
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, about, *, lam=True, mu=False, tensor=False, budget=False,
                 node_cap=True):
-        sp = sub.add_parser(name, help=about)
+        sp = sub.add_parser(name, help=about, allow_abbrev=False)
         sp.set_defaults(handler=handler)
         sp.add_argument("-n", type=_int_arg, help="rank (number of residues) of framing dims, >= 2")
         if lam:

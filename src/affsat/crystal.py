@@ -20,6 +20,12 @@ purposes.  The signature rule runs only where a word is lowered or raised;
 Levi branching and tensor decomposition read eps_i off the i-edges of a
 finished graph (CrystalGraph.eps).
 
+Generation works on words of factor ids: each graph owns one
+kernels.FactorTable, which interns every (charge, parts) factor once, stores
+its signature scan (the one memo fill) and memoizes its lowerings, and
+kernels.expand_level lowers and dedups a whole BFS level.  (charge, parts)
+words are materialized only at the API edge (CrystalGraph.words, node()).
+
 Tensor products follow the tensor-product rule: b1.b2 is killed by every e_i
 exactly when b1 is the highest-weight word of B(lambda1) and
 eps_i(b2) <= <lambda1, h_i> for every i.  Decomposition is therefore one pass
@@ -32,12 +38,13 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
 from ._backend import kernels
 from .cartan import Weight, lowering_vector
-from .errors import ConsistencyError, DomainError, NoHighestWeightError, ResourceCapError
+from .errors import ConsistencyError, DomainError, NoHighestWeightError
 from .fock import ChargedPartition
 
 # Pins the signature and tensor conventions; cached graphs are only reused
@@ -46,9 +53,11 @@ CONVENTION_ID = "rowscan-ar-cancel.tensor-concat.charges-asc.v1"
 
 DEFAULT_NODE_CAP = 5_000_000
 
-# A factor is (charge, parts); a word is a tuple of factors.
+# A factor is (charge, parts); a word is a tuple of factors, an id word a
+# tuple of factor ids in a FactorTable.
 Factor = tuple[int, tuple[int, ...]]
 Word = tuple[Factor, ...]
+IdWord = tuple[int, ...]
 
 
 def canonical_charges(lam: Weight) -> tuple[int, ...]:
@@ -91,33 +100,33 @@ class TensorEpsPhi:
     position_e: Optional[int]
 
 
-def _scan_word(word: Word, i: int, n: int, tables: dict):
+def _scan_word(word: Word, i: int, table: kernels.FactorTable):
     """Signature rule across the word at residue i.
 
-    tables memoizes the per-factor signature scan, keyed by (charge, parts).
+    The factors' scan tables come from table, which interns each factor.
     Returns (eps, phi, pos_f, pos_e, add_row, rem_row) where pos_* are the
     factor indices where lowering / raising act (-1 when undefined) and
     *_row the good rows inside those factors.
     """
-    return kernels.word_scan(kernels.word_tables(word, n, tables), i)
+    return kernels.word_scan([table.scans[table.intern(f)] for f in word], i)
 
 
 def tensor_eps_phi(node: CrystalNode, i: int) -> TensorEpsPhi:
     """Totals eps_i, phi_i of a word and where f_i / e_i would act."""
-    eps, phi, pos_f, pos_e, _, _ = _scan_word(node.word, i % node.n, node.n, {})
+    eps, phi, pos_f, pos_e, _, _ = _scan_word(node.word, i % node.n, kernels.FactorTable(node.n))
     return TensorEpsPhi(eps, phi, pos_f if pos_f >= 0 else None, pos_e if pos_e >= 0 else None)
 
 
-def _word_lower(word: Word, i: int, n: int, tables: dict) -> Optional[Word]:
-    _, phi, pos_f, _, add_row, _ = _scan_word(word, i, n, tables)
+def _word_lower(word: Word, i: int, table: kernels.FactorTable) -> Optional[Word]:
+    _, phi, pos_f, _, add_row, _ = _scan_word(word, i, table)
     if phi == 0:
         return None
     charge, parts = word[pos_f]
     return word[:pos_f] + ((charge, kernels.add_cell(parts, add_row)),) + word[pos_f + 1 :]
 
 
-def _word_raise(word: Word, i: int, n: int, tables: dict) -> Optional[Word]:
-    eps, _, _, pos_e, _, rem_row = _scan_word(word, i, n, tables)
+def _word_raise(word: Word, i: int, table: kernels.FactorTable) -> Optional[Word]:
+    eps, _, _, pos_e, _, rem_row = _scan_word(word, i, table)
     if eps == 0:
         return None
     charge, parts = word[pos_e]
@@ -129,28 +138,39 @@ def apply_tensor_operator(node: CrystalNode, i: int, direction: str) -> Optional
     if direction not in ("lower", "raise"):
         raise DomainError(f'direction must be "lower" or "raise", got {direction!r}')
     op = _word_lower if direction == "lower" else _word_raise
-    word = op(node.word, i % node.n, node.n, {})
+    word = op(node.word, i % node.n, kernels.FactorTable(node.n))
     return None if word is None else CrystalNode(node.n, word)
 
 
 class CrystalGraph:
     """Truncated crystal graph: nodes reachable from the highest-weight word
-    by f-edges whose lowering stays within the budget."""
+    by f-edges whose lowering stays within the budget.
 
-    def __init__(self, lam: Weight, budget: tuple[int, ...], words: list[Word],
-                 cvecs: list[tuple[int, ...]], edges: dict[tuple[int, int], int]):
+    Nodes are id words over table; words materializes them as
+    (charge, parts) words on first use."""
+
+    def __init__(self, lam: Weight, budget: tuple[int, ...], table: kernels.FactorTable,
+                 id_words: list[IdWord], cvecs: list[tuple[int, ...]],
+                 edges: dict[tuple[int, int], int]):
         self.lam = lam
         self.n = lam.n
         self.budget = budget
-        self.words = words
+        self.table = table
+        self.id_words = id_words
         self.cvecs = cvecs
         self.edges = edges
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.id_words)
+
+    @cached_property
+    def words(self) -> list[Word]:
+        factors = self.table.factors
+        return [tuple([factors[f] for f in word]) for word in self.id_words]
 
     def node(self, node_id: int) -> CrystalNode:
-        return CrystalNode(self.n, self.words[node_id])
+        factors = self.table.factors
+        return CrystalNode(self.n, tuple([factors[f] for f in self.id_words[node_id]]))
 
     def weight_of(self, node_id: int) -> Weight:
         return self.lam.lowered(self.cvecs[node_id])
@@ -167,7 +187,7 @@ class CrystalGraph:
         pass in insertion order finishes a parent's value before its child's.
         """
         i %= self.n
-        eps = [0] * len(self.words)
+        eps = [0] * len(self.id_words)
         for (a, j), b in self.edges.items():
             if j == i:
                 eps[b] = eps[a] + 1
@@ -200,14 +220,13 @@ class CrystalGraph:
         """
         # The charge at each word position is the same in every word, so
         # words order as the tuples of their factors' ranks.
-        factor_ids: dict[Factor, int] = {}
-        coded = [tuple([factor_ids.setdefault(f, len(factor_ids)) for f in word])
-                 for word in self.words]
-        factors = list(factor_ids)
+        coded = self.id_words
+        factors = self.table.factors
         rank = [0] * len(factors)
         for r, k in enumerate(sorted(range(len(factors)), key=factors.__getitem__)):
             rank[k] = r
-        order = sorted(range(len(coded)), key=lambda k: [rank[f] for f in coded[k]])
+        keys = [tuple(map(rank.__getitem__, word)) for word in coded]
+        order = sorted(range(len(coded)), key=keys.__getitem__)
         relabel = [0] * len(order)
         for new, old in enumerate(order):
             relabel[old] = new
@@ -223,11 +242,17 @@ class CrystalGraph:
             if weight is None:
                 weight = weight_text[cvec] = (
                     '{"c":' + _ints([a + b for a, b in zip(lam_c, cvec)]) + weight_tail)
-            word = ",".join([factor_text[f] for f in coded[old]])
+            word = ",".join(map(factor_text.__getitem__, coded[old]))
             nodes.append(f'{{"id":{new},"weight":{weight},"word":[{word}]}}')
-        edges = sorted((relabel[a], i, relabel[b]) for (a, i), b in self.edges.items())
+        # Each (from, i) has at most one edge: slot from * n + i, in sorted order.
+        n = self.n
+        slots = [-1] * (len(order) * n)
+        for (a, i), b in self.edges.items():
+            slots[relabel[a] * n + i] = relabel[b]
+        edges = ",".join(['{"from":%d,"i":%d,"to":%d}' % (k // n, k % n, b)
+                          for k, b in enumerate(slots) if b >= 0])
         return (f'{{"budget":{canonical_dumps(list(self.budget))},"edges":['
-                + ",".join(['{"from":%d,"i":%d,"to":%d}' % e for e in edges])
+                + edges
                 + f'],"lambda":{canonical_dumps(self.lam.to_json())},"nodes":['
                 + ",".join(nodes) + "]}")
 
@@ -268,33 +293,20 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
     _require_dominant(lam)
     n = lam.n
     budget = _validate_budget(n, budget)
-    tables: dict[Factor, tuple] = {}
+    table = kernels.FactorTable(n)
 
-    hw: Word = tuple((ch, ()) for ch in canonical_charges(lam))
-    zero = (0,) * n
-    words: list[Word] = [hw]
-    cvecs: list[tuple[int, ...]] = [zero]
-    index: dict[Word, int] = {hw: 0}
+    hw: IdWord = tuple(table.intern((ch, ())) for ch in canonical_charges(lam))
+    words: list[IdWord] = [hw]
+    cvecs: list[tuple[int, ...]] = [(0,) * n]
+    index: dict[IdWord, int] = {hw: 0}
     edges: dict[tuple[int, int], int] = {}
 
     frontier = [0]
     while frontier:
-        next_frontier = []
-        flat = kernels.expand_level(words, cvecs, frontier, budget, n, tables)
-        for parent_id, i, child, cc in flat:
-            child_id = index.get(child)
-            if child_id is None:
-                child_id = len(words)
-                if child_id >= node_cap:
-                    raise ResourceCapError(node_cap, budget, child_id + 1)
-                index[child] = child_id
-                words.append(child)
-                cvecs.append(cc)
-                next_frontier.append(child_id)
-            edges[(parent_id, i)] = child_id
-        frontier = next_frontier
+        frontier = kernels.expand_level(frontier, words, cvecs, index, edges, budget, table,
+                                        node_cap)
 
-    return CrystalGraph(lam, budget, words, cvecs, edges)
+    return CrystalGraph(lam, budget, table, words, cvecs, edges)
 
 
 def weight_multiplicity(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE_CAP) -> int:

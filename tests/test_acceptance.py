@@ -23,6 +23,7 @@ from affsat import (
     tensor_weight_multiplicity,
     weight_multiplicity,
 )
+from affsat import _kernels_py as kernels
 from affsat.cli import main as cli_main
 from affsat.crystal import _scan_word, _word_raise
 
@@ -122,12 +123,12 @@ def test_criterion_5_crystal_axiom_suite():
         lam = Weight(n, w, (0,) * n)
         graph = generate_crystal(lam, budget)
         total_nodes += len(graph)
-        tables = {}
+        table = kernels.FactorTable(n)
         edge_eps = [graph.eps(i) for i in range(n)]
         for node_id, word in enumerate(graph.words):
             wt = graph.weight_of(node_id)
             for i in range(n):
-                eps, phi, _, _, _, _ = _scan_word(word, i, n, tables)
+                eps, phi, _, _, _, _ = _scan_word(word, i, table)
                 if phi - eps != wt.pairing(i):
                     violations += 1
                 # eps read off the i-edges equals the signature rule's
@@ -141,10 +142,10 @@ def test_criterion_5_crystal_axiom_suite():
                 if graph.weight_of(child_id) != wt.minus_alpha(i):
                     violations += 1
                 # e_i f_i = id
-                if _word_raise(child_word, i, n, tables) != word:
+                if _word_raise(child_word, i, table) != word:
                     violations += 1
                 # eps_i(f_i b) = eps_i(b) + 1
-                child_eps = _scan_word(child_word, i, n, tables)[0]
+                child_eps = _scan_word(child_word, i, table)[0]
                 if child_eps != eps + 1:
                     violations += 1
     ok = violations == 0 and total_nodes >= 10_000

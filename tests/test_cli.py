@@ -183,7 +183,7 @@ def test_fixed_tensor_variant(capsys):
     assert len(doc["splittings"]) == 3
 
 
-def test_validation_errors(capsys):
+def test_validation_errors(capsys, tmp_path):
     assert run_cli(capsys, "mult", "-n", "2", "-w", "1,x", "-v", "0,0")[0] == 2
     assert run_cli(capsys, "mult", "-n", "3", "-w", "1,0", "-v", "0,0,0")[0] == 2
     assert run_cli(capsys, "mult", "-n", "1", "-w", "1", "-v", "0")[0] == 2
@@ -212,6 +212,9 @@ def test_validation_errors(capsys):
         ("crystal", "-n", "2", "-w", " 1,0", "--depth", "0"),
         ("crystal", "-n", "2", "-w", "+1,0", "--depth", "0"),
         ("mult", "-n", "2", "-w", "1,0", "-v", "1,\uff11"),
+        # an empty budget is malformed, not absent
+        ("crystal", "-n", "2", "-w", "1,0", "--budget", "", "--depth", "1"),
+        ("crystal", "-n", "2", "-w", "1,0", "-v", ""),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -231,6 +234,10 @@ def test_validation_errors(capsys):
     for argv, message in [
         ((), "required: command"),
         (("crystal", "-n", "2", "-w", "1,0", "--depth", "1", "--bogus"), "unrecognized"),
+        # options are spelled out: a prefix is not read as the option it starts
+        (("crystal", "-n", "2", "-w", "1,0", "--depth", "1", "--cache", str(tmp_path)),
+         "unrecognized arguments: --cache"),
+        (("crystal", "-n", "2", "-w", "1,0", "--dep", "1"), "unrecognized arguments: --dep"),
         (("crystal", "-n", "2", "-w", "1,0", "--depth", "1", "--node-cap", "0"),
          "--node-cap must be at least 1"),
         # --mu was accepted and never read by crystal and tensor
@@ -273,6 +280,7 @@ def test_validation_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1 and message in err, argv
+    assert not any(tmp_path.iterdir())
 
 
 def test_help_exits_zero(capsys):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -20,8 +21,9 @@ from affsat import (
     tensor_weight_multiplicity,
     weight_multiplicity,
 )
+from affsat import _kernels_py as kernels
 from affsat.cli import dot_from_graph_json
-from affsat.crystal import _scan_word
+from affsat.crystal import _scan_word, canonical_charges
 
 from conftest import dominant_bases, lowered
 
@@ -110,11 +112,11 @@ def test_closure_within_budget():
     lam = Weight(2, (1, 1), (0, 0))
     budget = (3, 2)
     g = generate_crystal(lam, budget)
-    tables = {}
+    table = kernels.FactorTable(2)
     for node_id, word in enumerate(g.words):
         c = g.cvecs[node_id]
         for i in range(2):
-            _, phi, _, _, _, _ = _scan_word(word, i, 2, tables)
+            _, phi, _, _, _, _ = _scan_word(word, i, table)
             in_budget = c[i] + 1 <= budget[i]
             has_edge = (node_id, i) in g.edges
             assert has_edge == (phi > 0 and in_budget)
@@ -122,6 +124,100 @@ def test_closure_within_budget():
                 child = g.words[g.edges[(node_id, i)]]
                 assert g.cvecs[g.edges[(node_id, i)]] == c[:i] + (c[i] + 1,) + c[i + 1 :]
                 assert child in g.words
+
+
+def _reference_generate(lam, budget):
+    """The (charge, parts)-word BFS the id-word engine replaced: factors are
+    scanned through a dict keyed by (charge, parts), each child word is
+    built from a fresh parts tuple, and a level's children are deduped
+    after the whole level is lowered.  Returns (words, cvecs, edges)."""
+    n = lam.n
+    scans = {}
+
+    def tables(word):
+        out = []
+        for factor in word:
+            table = scans.get(factor)
+            if table is None:
+                table = scans[factor] = kernels.signature_scan(factor[1], factor[0], n)
+            out.append(table)
+        return out
+
+    hw = tuple((ch, ()) for ch in canonical_charges(lam))
+    words, cvecs, index, edges = [hw], [(0,) * n], {hw: 0}, {}
+    frontier = [0]
+    while frontier:
+        flat = []
+        for node_id in frontier:
+            word, c = words[node_id], cvecs[node_id]
+            word_tables = tables(word)
+            for i in range(n):
+                if c[i] >= budget[i]:
+                    continue
+                _, phi, pos_f, _, add_row, _ = kernels.word_scan(word_tables, i)
+                if phi == 0:
+                    continue
+                charge, parts = word[pos_f]
+                factor = (charge, kernels.add_cell(parts, add_row))
+                child = word[:pos_f] + (factor,) + word[pos_f + 1 :]
+                flat.append((node_id, i, child, c[:i] + (c[i] + 1,) + c[i + 1 :]))
+        frontier = []
+        for parent_id, i, child, cc in flat:
+            child_id = index.get(child)
+            if child_id is None:
+                child_id = index[child] = len(words)
+                words.append(child)
+                cvecs.append(cc)
+                frontier.append(child_id)
+            edges[(parent_id, i)] = child_id
+    return words, cvecs, edges
+
+
+@pytest.mark.parametrize("shift", [0, -7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_engine_matches_reference_bfs(n, shift):
+    budgets = [(b,) * n for b in range(4)] + [(3, 1, 2, 0)[:n]]
+    for base in dominant_bases(n, 2):
+        lam = Weight(n, base.w, (-shift,) * n)
+        for budget in budgets:
+            g = generate_crystal(lam, budget)
+            words, cvecs, edges = _reference_generate(lam, budget)
+            assert g.words == words, (base.w, budget)
+            assert g.cvecs == cvecs, (base.w, budget)
+            assert g.edges == edges, (base.w, budget)
+
+
+@pytest.mark.parametrize("n, w, budget", [
+    (2, (2, 0), (5, 5)),
+    (3, (1, 1, 0), (4, 4, 4)),
+    (4, (1, 0, 0, 1), (2, 3, 2, 1)),
+])
+def test_factor_memo_exact(monkeypatch, n, w, budget):
+    scan = kernels.signature_scan
+    calls = Counter()
+
+    def counted(parts, charge, n):
+        calls[(charge, parts)] += 1
+        return scan(parts, charge, n)
+
+    monkeypatch.setattr(kernels, "signature_scan", counted)
+    g = generate_crystal(Weight(n, w, (0,) * n), budget)
+    # one scan per distinct factor of the graph, and no other
+    assert set(calls.values()) == {1}
+    assert set(calls) == {f for word in g.words for f in word}
+    table = g.table
+    assert len(table.factors) == len(calls)
+    filled = 0
+    for f, row in enumerate(table.lowered):
+        charge, parts = table.factors[f]
+        assert table.scans[f] == scan(parts, charge, n)
+        for i, child in enumerate(row):
+            if child is not None:
+                add_row = table.scans[f][i][2]
+                assert add_row > 0
+                assert table.factors[child] == (charge, kernels.add_cell(parts, add_row))
+                filled += 1
+    assert filled > 0
 
 
 def test_weight_multiplicity_examples():
@@ -211,14 +307,14 @@ def _pair_scan_highest_weights(lam1, lam2, budget):
     g1 = generate_crystal(lam1, budget)
     g2 = generate_crystal(lam2, budget)
     base = lam1 + lam2
-    tables = {}
+    table = kernels.FactorTable(n)
     out = {}
     for w1, c1 in zip(g1.words, g1.cvecs):
         for w2, c2 in zip(g2.words, g2.cvecs):
             total = tuple(a + b for a, b in zip(c1, c2))
             if any(t > b for t, b in zip(total, budget)):
                 continue
-            if all(_scan_word(w1 + w2, i, n, tables)[0] == 0 for i in range(n)):
+            if all(_scan_word(w1 + w2, i, table)[0] == 0 for i in range(n)):
                 kappa = lowered(base, total)
                 out[kappa] = out.get(kappa, 0) + 1
     return out
