@@ -24,13 +24,26 @@ from any number of threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 from functools import lru_cache
 from itertools import accumulate
 from operator import index as as_int
 from typing import Optional, Sequence
 
 from .errors import DomainError, IncomparableWeightsError, NoHighestWeightError, RankError
+
+# Pins the signature and tensor conventions; cached graphs are only reused
+# when this matches, so changing a convention invalidates old caches.
+CONVENTION_ID = "rowscan-ar-cancel.tensor-concat.charges-asc.v1"
+
+DEFAULT_NODE_CAP = 5_000_000
+
+_set = object.__setattr__
+
+
+def canonical_dumps(obj) -> str:
+    """The canonical JSON text of obj: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def check_rank(n: int) -> int:
@@ -58,22 +71,57 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cartan_apply([int(i == j) for j in range(n)]) for i in range(n))
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Affine weight sum_i w_i Lambda_i - sum_i c_i alpha_i, indices in Z/n."""
+class Frozen:
+    """Base of the immutable value classes (Weight, fock.ChargedPartition).
 
-    n: int
-    w: tuple[int, ...]
-    c: tuple[int, ...]
+    A subclass lists its fields in __slots__, in constructor order; its
+    __init__ stores each with object.__setattr__ and then calls
+    self.__post_init__(), which validates and normalizes.  Assignment and
+    deletion raise AttributeError afterwards.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self.__slots__])
+
+
+class Weight(Frozen):
+    """Affine weight sum_i w_i Lambda_i - sum_i c_i alpha_i, indices in Z/n.
+
+    Equal only to a Weight with the same (n, w, c), and hashed as that triple.
+    """
+
+    __slots__ = ("n", "w", "c")
+
+    def __init__(self, n: int, w: Sequence[int], c: Sequence[int]):
+        _set(self, "n", n)
+        _set(self, "w", w)
+        _set(self, "c", c)
+        self.__post_init__()
 
     def __post_init__(self):
-        check_rank(self.n)
-        object.__setattr__(self, "w", tuple(as_int(x) for x in self.w))
-        object.__setattr__(self, "c", tuple(as_int(x) for x in self.c))
-        if len(self.w) != self.n or len(self.c) != self.n:
-            raise DomainError(
-                f"w and c must have length n={self.n}, got {len(self.w)} and {len(self.c)}"
-            )
+        n = check_rank(self.n)
+        w = tuple(map(as_int, self.w))
+        c = tuple(map(as_int, self.c))
+        _set(self, "w", w)
+        _set(self, "c", c)
+        if len(w) != n or len(c) != n:
+            raise DomainError(f"w and c must have length n={n}, got {len(w)} and {len(c)}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.w == other.w and self.c == other.c
+
+    def __hash__(self):
+        return hash((self.n, self.w, self.c))
 
     @property
     def level(self) -> int:

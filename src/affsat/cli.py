@@ -2,8 +2,9 @@
 
 One query, one document: every command writes exactly one JSON, DOT or TSV
 document to stdout and keeps diagnostics on stderr.  Exit codes: 0 success,
-2 validation error, 3 node-cap exceeded, 1 internal inconsistency (should
-not happen; it means the two multiplicity routes disagreed).
+2 validation error, 3 node-cap exceeded or out of memory, 1 internal
+inconsistency (should not happen; it means the two multiplicity routes
+disagreed).
 
 The parser is the contract: each subcommand binds its handler and declares
 exactly the options the handler reads.  Each input is given one way, except
@@ -18,26 +19,26 @@ $AFFSAT_CACHE_DIR; an empty value means no cache), keyed by a digest of
 (schema version, rank, lambda, budget, convention id).  An entry is the
 document's sha256 hex digest, a newline and the document; a warm hit serves
 it byte-identical once the digest matches.  Version-1 entries are never read
-and can be deleted.
+and can be deleted.  Nothing is ever evicted: the cache grows until its
+{key}.json files are deleted, which is always safe.
+
+Only what a command runs is imported: crystal generation, satake,
+freudenthal, hashlib and the cache's file handling load inside the
+functions that call them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import re
 import sys
-import tempfile
 from itertools import product
-from pathlib import Path
 from typing import Optional
 
-from . import crystal, freudenthal, satake
-from .cartan import Weight, weights_from_dims
-from .crystal import CONVENTION_ID, DEFAULT_NODE_CAP, canonical_dumps
+from .cartan import CONVENTION_ID, DEFAULT_NODE_CAP, Weight, canonical_dumps, weights_from_dims
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -158,6 +159,12 @@ def _operands(args) -> tuple[Weight, Optional[Weight], Weight]:
 # -- cache ------------------------------------------------------------------
 
 
+def _sha256(text: str) -> str:
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _cache_key(lam: Weight, budget: tuple[int, ...]) -> str:
     payload = canonical_dumps({
         "schema_version": SCHEMA_VERSION,
@@ -166,7 +173,7 @@ def _cache_key(lam: Weight, budget: tuple[int, ...]) -> str:
         "budget": list(budget),
         "convention_id": CONVENTION_ID,
     })
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return _sha256(payload)
 
 
 def cache_get_or_build(lam: Weight, budget, cache_dir: Optional[str], *,
@@ -177,6 +184,11 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: Optional[str], *,
     entries are rebuilt and overwritten with a warning.  Cache write failures
     degrade to build-without-store.
     """
+    import tempfile
+    from pathlib import Path
+
+    from . import crystal
+
     budget = crystal._validate_budget(lam.n, budget)
 
     def build() -> str:
@@ -192,7 +204,7 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: Optional[str], *,
     if path.exists():
         try:
             digest, _, doc = path.read_text().partition("\n")
-            if hashlib.sha256(doc.encode()).hexdigest() == digest:
+            if _sha256(doc) == digest:
                 return doc
             print(f"affsat: cache entry {path.name} failed its digest check; rebuilding",
                   file=sys.stderr)
@@ -204,7 +216,7 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: Optional[str], *,
         root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=root, prefix=f"{key}.", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(hashlib.sha256(doc.encode()).hexdigest() + "\n" + doc)
+            fh.write(_sha256(doc) + "\n" + doc)
         os.replace(tmp, path)
     except OSError as exc:
         print(f"affsat: cache write failed ({exc}); continuing without store", file=sys.stderr)
@@ -241,6 +253,8 @@ def _cmd_crystal(args) -> tuple[str, int]:
 
 
 def _cmd_mult(args) -> tuple[str, int]:
+    from . import crystal
+
     lam1, lam2, mu = _operands(args)
     if lam2 is None:
         m = crystal.weight_multiplicity(lam1, mu, node_cap=args.node_cap)
@@ -250,6 +264,8 @@ def _cmd_mult(args) -> tuple[str, int]:
 
 
 def _cmd_tensor(args) -> tuple[str, int]:
+    from . import crystal
+
     lam1, lam2 = _tensor_pair(args)
     budget = _resolve_budget(args, lam1)
     hw = crystal.tensor_highest_weights(lam1, lam2, budget, node_cap=args.node_cap)
@@ -261,6 +277,8 @@ def _cmd_tensor(args) -> tuple[str, int]:
 
 
 def _cmd_branch(args) -> tuple[str, int]:
+    from . import satake
+
     lam = _resolve_lambda(args)
     mu = _resolve_mu(args, lam)
     if not 0 <= args.i < lam.n:
@@ -283,6 +301,8 @@ def _cmd_branch(args) -> tuple[str, int]:
 
 
 def _cmd_leaves(args) -> tuple[str, int]:
+    from . import satake
+
     lam = _resolve_lambda(args)
     mu = _resolve_mu(args, lam)
     strata = satake.enumerate_leaves(lam, mu, include_empty=args.include_empty)
@@ -290,6 +310,8 @@ def _cmd_leaves(args) -> tuple[str, int]:
 
 
 def _cmd_fixed(args) -> tuple[str, int]:
+    from . import satake
+
     lam1, lam2, mu = _operands(args)
     if lam2 is None:
         count = satake.attracting_component_count(lam1, mu, node_cap=args.node_cap)
@@ -302,6 +324,8 @@ def _cmd_fixed(args) -> tuple[str, int]:
 
 
 def _cmd_check(args) -> tuple[str, int]:
+    from . import crystal, freudenthal
+
     lam = _resolve_lambda(args)
     budget = (args.depth,) * lam.n
     graph = crystal.generate_crystal(lam, budget, node_cap=args.node_cap)
@@ -406,8 +430,8 @@ def main(argv=None) -> int:
     except (RankError, DomainError, IncomparableWeightsError) as exc:
         print(f"affsat: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ResourceCapError as exc:
-        print(f"affsat: {exc}", file=sys.stderr)
+    except (ResourceCapError, MemoryError) as exc:
+        print(f"affsat: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ConsistencyError as exc:
         print(f"affsat: internal consistency failure: {exc}", file=sys.stderr)

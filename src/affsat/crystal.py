@@ -34,24 +34,23 @@ over the truncated B(lambda2), the only graph built, which node_cap bounds.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import product
 from typing import Optional
 
 from ._backend import kernels
-from .cartan import Weight, lowering_vector
+from .cartan import (
+    CONVENTION_ID,
+    DEFAULT_NODE_CAP,
+    Weight,
+    canonical_dumps,
+    is_weight_of,
+    lowering_vector,
+)
 from .errors import ConsistencyError, DomainError, NoHighestWeightError
 from .fock import ChargedPartition
-
-# Pins the signature and tensor conventions; cached graphs are only reused
-# when this matches, so changing a convention invalidates old caches.
-CONVENTION_ID = "rowscan-ar-cancel.tensor-concat.charges-asc.v1"
-
-DEFAULT_NODE_CAP = 5_000_000
 
 # A factor is (charge, parts); a word is a tuple of factors, an id word a
 # tuple of factor ids in a FactorTable.
@@ -71,12 +70,10 @@ def canonical_charges(lam: Weight) -> tuple[int, ...]:
     return charges
 
 
-@dataclass(frozen=True)
-class CrystalNode:
+class CrystalNode(namedtuple("CrystalNode", "n word")):
     """A tensor word of charged partitions."""
 
-    n: int
-    word: Word
+    __slots__ = ()
 
     @property
     def factors(self) -> tuple[ChargedPartition, ...]:
@@ -90,14 +87,9 @@ class CrystalNode:
         return tuple(counts)
 
 
-@dataclass(frozen=True)
-class TensorEpsPhi:
-    """Word-level signature data: totals plus the factor each operator acts in."""
-
-    eps: int
-    phi: int
-    position_f: Optional[int]
-    position_e: Optional[int]
+# Word-level signature data: totals plus the factor each operator acts in
+# (None where it does not act).
+TensorEpsPhi = namedtuple("TensorEpsPhi", "eps phi position_f position_e")
 
 
 def _scan_word(word: Word, i: int, table: kernels.FactorTable):
@@ -257,11 +249,9 @@ class CrystalGraph:
                 + ",".join(nodes) + "]}")
 
     def canonical_digest(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.to_json_str().encode()).hexdigest()
-
-
-def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _ints(xs) -> str:
@@ -313,11 +303,15 @@ def weight_multiplicity(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE
     """dim of the mu weight space of the highest-weight module for lambda.
 
     Counts crystal nodes of weight mu in the graph truncated exactly at the
-    lowering vector of mu; zero when mu is not below lambda.
+    lowering vector of mu.  Zero with no graph when mu is not below lambda,
+    or, at positive level, when mu is not a weight of L(lambda) at all
+    (cartan.is_weight_of).
     """
     _require_dominant(lam)
     u = lowering_vector(lam, mu)
     if u is None or any(x < 0 for x in u):
+        return 0
+    if lam.level >= 1 and not is_weight_of(lam, mu):
         return 0
     graph = generate_crystal(lam, u, node_cap=node_cap)
     return graph.weight_counts().get(u, 0)

@@ -15,13 +15,15 @@ crystal axioms rather than a particular picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index as as_int
 from typing import Optional
 
 from ._backend import kernels
-from .cartan import Weight, check_rank
+from .cartan import Frozen, Weight, check_rank
 from .errors import DomainError
+
+_set = object.__setattr__
 
 
 def canonical_parts(parts) -> tuple[int, ...]:
@@ -44,19 +46,33 @@ def cell_residue(row: int, col: int, charge: int, n: int) -> int:
     return (col - row + charge) % n
 
 
-@dataclass(frozen=True)
-class ChargedPartition:
+class ChargedPartition(Frozen):
     """A partition with a residue charge: one node of a level-1 crystal."""
 
-    parts: tuple[int, ...]
-    charge: int
-    n: int
+    __slots__ = ("parts", "charge", "n")
+
+    def __init__(self, parts, charge: int, n: int):
+        _set(self, "parts", parts)
+        _set(self, "charge", charge)
+        _set(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self):
         check_rank(self.n)
-        object.__setattr__(self, "parts", canonical_parts(self.parts))
+        _set(self, "parts", canonical_parts(self.parts))
         if not 0 <= self.charge < self.n:
             raise DomainError(f"charge must lie in 0..{self.n - 1}, got {self.charge}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts and self.charge == other.charge and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.parts, self.charge, self.n))
+
+    def __repr__(self):
+        return f"ChargedPartition(parts={self.parts!r}, charge={self.charge!r}, n={self.n!r})"
 
     def size(self) -> int:
         return sum(self.parts)
@@ -78,14 +94,9 @@ class ChargedPartition:
         return cls(tuple(parts), charge, n)
 
 
-@dataclass(frozen=True)
-class EpsPhi:
-    """Raising/lowering capacity at one residue, with the selected good cells."""
-
-    eps: int
-    phi: int
-    good_addable: Optional[tuple[int, int]]
-    good_removable: Optional[tuple[int, int]]
+# Raising/lowering capacity at one residue, with the selected good cells
+# ((row, col), or None).
+EpsPhi = namedtuple("EpsPhi", "eps phi good_addable good_removable")
 
 
 def _cell_at(parts: tuple[int, ...], row: int, added: bool) -> tuple[int, int]:

@@ -30,19 +30,15 @@ results do not depend on call order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cartan import Weight, cartan_apply, check_rank, dominant_lowering, lowering_vector
 from .errors import ConsistencyError, DomainError
 
 
-@dataclass(frozen=True)
-class PositiveRoot:
-    """A positive root sum_i coeffs_i alpha_i with its root multiplicity."""
-
-    coeffs: tuple[int, ...]
-    multiplicity: int
+# A positive root sum_i coeffs_i alpha_i with its root multiplicity.
+PositiveRoot = namedtuple("PositiveRoot", "coeffs multiplicity")
 
 
 @lru_cache(maxsize=None)

@@ -12,26 +12,22 @@ Pure functions; determinism is owned by affsat.crystal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from . import crystal
-from .cartan import Weight, lowering_vector
-from .crystal import DEFAULT_NODE_CAP
+from .cartan import DEFAULT_NODE_CAP, Weight, lowering_vector
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(namedtuple("Stratum", "kappa k regular_locus_empty")):
     """Label (kappa, k) of one symplectic leaf.
 
     regular_locus_empty records the level-1 caveat: the regular locus of the
     leaf with kappa != mu is empty when the total framing dimension is 1.
     """
 
-    kappa: Weight
-    k: tuple[int, ...]
-    regular_locus_empty: bool
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -109,14 +105,8 @@ def tensor_fixed_points(lam1: Weight, lam2: Weight, mu: Weight, *,
             for s, rest, _, _ in crystal.tensor_splittings(lam1, lam2, mu, node_cap=node_cap)]
 
 
-@dataclass(frozen=True)
-class BranchRow:
-    """One row of the rank-1 multiplicity table at stratum weight kappa'."""
-
-    k: int
-    kappa_prime: Weight
-    pairing: int
-    multiplicity: int
+# One row of the rank-1 multiplicity table at stratum weight kappa'.
+BranchRow = namedtuple("BranchRow", "k kappa_prime pairing multiplicity")
 
 
 def sheaf_multiplicity_table(lam: Weight, mu: Weight, i: int, *,

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -193,6 +195,39 @@ def test_weight_json_roundtrip():
     obj = json.loads(json.dumps(mu.to_json()))
     assert obj == {"n": 3, "w": [0, 1, 1], "c": [0, 2, 1]}
     assert Weight.from_json(obj) == mu
+
+
+def test_weight_is_an_immutable_value():
+    mu = Weight(3, [1, 1, 0], iter((2, 1, 0)))
+    assert (mu.n, mu.w, mu.c) == (3, (1, 1, 0), (2, 1, 0))
+    for field in ("n", "w", "c", "other"):
+        with pytest.raises(AttributeError):
+            setattr(mu, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(mu, field)
+    assert (mu.n, mu.w, mu.c) == (3, (1, 1, 0), (2, 1, 0))
+    same = Weight(3, (1, 1, 0), (2, 1, 0))
+    assert mu == same and not mu != same and {mu: 1}[same] == 1
+    assert mu != Weight(3, (1, 1, 0), (2, 1, 1)) and mu != Weight(3, (1, 1, 1), (2, 1, 0))
+    # the frozen dataclass's equality and hash: the field triple, own class only
+    assert hash(mu) == hash((3, (1, 1, 0), (2, 1, 0)))
+    assert mu != (3, (1, 1, 0), (2, 1, 0)) and (3, (1, 1, 0), (2, 1, 0)) != mu
+    assert repr(mu) == "Weight(n=3, w=[1, 1, 0], c=[2, 1, 0])"
+    assert copy.copy(mu) == mu and pickle.loads(pickle.dumps(mu)) == mu
+
+
+def test_weight_validates_once_per_construction(monkeypatch):
+    calls = []
+    post_init = Weight.__post_init__
+    monkeypatch.setattr(Weight, "__post_init__", lambda self: calls.append(post_init(self)))
+    Weight(2, (1, 0), (0, 0)).lowered((1, 1))
+    assert len(calls) == 2
+    with pytest.raises(RankError):
+        Weight(1, (1,), (0,))
+    with pytest.raises(DomainError):
+        Weight(2, (1, 0), (0,))
+    with pytest.raises(TypeError):
+        Weight(2, (1.0, 0), (0, 0))
 
 
 def test_simple_root_is_lowering_unit():

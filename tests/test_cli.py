@@ -354,6 +354,34 @@ def test_resource_cap_exit(capsys):
     assert "node cap" in err
 
 
+def test_mult_off_the_weight_lattice_builds_no_graph(capsys, monkeypatch):
+    from affsat._backend import kernels
+
+    calls = []
+    expand_level = kernels.expand_level
+    monkeypatch.setattr(kernels, "expand_level",
+                        lambda *args: calls.append(1) or expand_level(*args))
+    argv = ("mult", "-n", "2", "-w", "1,0", "-v", "30,20")
+    for extra in [(), ("--node-cap", "100")]:
+        assert run_cli(capsys, *argv, *extra) == (0, '{"multiplicity":0}\n', ""), extra
+    assert calls == []
+    # a weight still counts in its graph, under the same cap
+    code, _, err = run_cli(capsys, "mult", "-n", "2", "-w", "1,0", "-v", "30,30",
+                           "--node-cap", "100")
+    assert code == 3 and "node cap of 100" in err
+
+
+def test_memory_error_exit(capsys, monkeypatch):
+    from affsat import crystal
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(crystal, "generate_crystal", exhausted)
+    assert run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "2") == (
+        3, "", "affsat: out of memory\n")
+
+
 def test_branch_honours_node_cap(capsys):
     # branch used to build its crystal past the cap that mult stops at
     for argv in [("mult",), ("branch", "-i", "1")]:

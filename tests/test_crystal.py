@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -240,6 +241,21 @@ def test_weight_multiplicity_matches_oracle_spot():
             for u in [(1,) * n, (2,) + (1,) * (n - 1), (0, 2) + (0,) * (n - 2)]:
                 mu = lowered(lam, u)
                 assert weight_multiplicity(lam, mu) == freudenthal_multiplicity(lam, mu)
+
+
+@pytest.mark.parametrize("n, top", [(2, 4), (3, 3)])
+def test_weight_multiplicity_on_a_box_with_non_weights(n, top):
+    # weight_multiplicity answers non-weights without a graph; the counts of
+    # one graph over the whole box and Freudenthal hold it to every point
+    for lam in dominant_bases(n, 2):
+        counts = generate_crystal(lam, (top,) * n).weight_counts()
+        zeros = 0
+        for u in itertools.product(range(-1, top + 1), repeat=n):
+            mu = lowered(lam, u)
+            m = weight_multiplicity(lam, mu)
+            assert m == freudenthal_multiplicity(lam, mu) == counts.get(u, 0), (lam, u)
+            zeros += min(u) >= 0 and m == 0
+        assert zeros > 0, lam
 
 
 def test_levi_branching_examples():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from affsat import (
@@ -132,3 +135,16 @@ def test_partition_json():
     ]:
         with pytest.raises(DomainError, match="malformed partition JSON"):
             ChargedPartition.from_json(obj, 3)
+
+
+def test_charged_partition_is_an_immutable_value():
+    b = ChargedPartition([2, 1, 0], 1, 3)
+    assert (b.parts, b.charge, b.n) == ((2, 1), 1, 3)
+    for field in ("parts", "charge", "n"):
+        with pytest.raises(AttributeError):
+            setattr(b, field, 0)
+    same = ChargedPartition((2, 1), 1, 3)
+    assert b == same and hash(b) == hash(same) == hash(((2, 1), 1, 3))
+    assert b != ChargedPartition((2, 1), 0, 3) and b != ((2, 1), 1, 3)
+    assert repr(b) == "ChargedPartition(parts=(2, 1), charge=1, n=3)"
+    assert copy.copy(b) == b and pickle.loads(pickle.dumps(b)) == b

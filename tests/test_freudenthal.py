@@ -156,6 +156,6 @@ def test_depth_is_not_bounded_by_the_recursion_limit():
     assert int(proc.stdout) == coloured_partitions(1, 100)
 
 
-def test_root_dataclass():
+def test_root_record_fields():
     r = PositiveRoot((1, 1), 1)
     assert r.coeffs == (1, 1) and r.multiplicity == 1

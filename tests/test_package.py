@@ -1,0 +1,105 @@
+"""The package's public surface and what importing it costs: `import affsat`
+loads no submodule, and the CLI loads a command's modules only when that
+command runs."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import affsat
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The names `affsat` exported eagerly before its exports became lazy, by module.
+EXPORTS = {
+    "_backend": ["backend_name"],
+    "cartan": ["Weight", "cartan_matrix", "delta", "dims_from_weights", "dominance_leq",
+               "dominant_representative", "fundamental_weight", "is_dominant", "is_weight_of",
+               "lowering_vector", "rho", "simple_root", "weight_invariants",
+               "weights_from_dims"],
+    "crystal": ["CONVENTION_ID", "DEFAULT_NODE_CAP", "CrystalGraph", "CrystalNode",
+                "apply_tensor_operator", "generate_crystal", "levi_branching",
+                "tensor_eps_phi", "tensor_highest_weights", "tensor_weight_multiplicity",
+                "weight_multiplicity"],
+    "errors": ["AffsatError", "ConsistencyError", "DomainError", "IncomparableWeightsError",
+               "NoHighestWeightError", "RankError", "ResourceCapError"],
+    "fock": ["ChargedPartition", "apply_root_operator", "cell_residue", "eps_phi",
+             "fock_weight"],
+    "freudenthal": ["PositiveRoot", "freudenthal_multiplicity", "positive_roots"],
+    "satake": ["BranchRow", "Stratum", "attracting_component_count", "enumerate_leaves",
+               "fixed_point_count", "sheaf_multiplicity_table", "tensor_fixed_points"],
+}
+
+DEFERRED = ["dataclasses", "inspect", "hashlib", "tempfile", "pathlib", "affsat.crystal",
+            "affsat.satake", "affsat.fock", "affsat._kernels_py"]
+
+# -S keeps site hooks from importing modules affsat itself should not need.
+SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+deferred, cache_dir = json.loads(sys.argv[2]), sys.argv[3]
+
+def affsat_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "affsat")
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert affsat.cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+import affsat
+assert affsat_modules() == ["affsat"], affsat_modules()
+import affsat.cli, affsat.freudenthal
+loaded = [m for m in deferred if m in sys.modules]
+assert not loaded, loaded
+assert affsat_modules() == ["affsat", "affsat.cartan", "affsat.cli", "affsat.errors",
+                            "affsat.freudenthal"], affsat_modules()
+doc = run("crystal", "-n", "3", "-w", "1,1,0", "--depth", "4", "--cache-dir", cache_dir)
+assert {"affsat.crystal", "affsat.fock", "affsat._kernels_py", "hashlib"} <= set(sys.modules)
+assert "affsat.satake" not in sys.modules
+leaves = run("leaves", "-n", "3", "-w", "1,1,0", "-v", "2,2,2")
+assert "affsat.satake" in sys.modules
+print(json.dumps([doc, leaves]))
+"""
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    import hashlib
+
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", SCRIPT, str(ROOT / "src"), json.dumps(DEFERRED),
+         str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc, leaves = json.loads(proc.stdout)
+    # the pinned canonical document of this graph (582 nodes), and the strata
+    assert doc.endswith("\n") and hashlib.sha256(doc[:-1].encode()).hexdigest() == (
+        "4668202dc303e109526f4d5afd1b130dec0becd43376cecfb8667bbb0c8c5d5e")
+    assert hashlib.sha256(leaves.encode()).hexdigest() == (
+        "d75e2361ec3b51e387f64ceb08c26d1c9c80e9c1dd933ee7867d1bfcb10a598d")
+
+
+@pytest.mark.parametrize("module, name",
+                         [(m, name) for m, names in EXPORTS.items() for name in names])
+def test_export_resolves_to_its_module(module, name):
+    from importlib import import_module
+
+    assert getattr(affsat, name) is getattr(import_module(f"affsat.{module}"), name)
+    assert name in affsat.__all__ and name in dir(affsat)
+
+
+def test_export_list_and_star_import():
+    assert sorted(affsat.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    namespace = {}
+    exec("from affsat import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == set(affsat.__all__)
+    assert affsat.crystal.CONVENTION_ID is affsat.cartan.CONVENTION_ID
+    with pytest.raises(AttributeError, match="no_such_name"):
+        affsat.no_such_name
+    with pytest.raises(ImportError):
+        exec("from affsat import no_such_name", {})
