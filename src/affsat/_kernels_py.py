@@ -17,8 +17,10 @@ with 0 standing for "none".  Adding the good addable is the lowering operator
 of the level-1 crystal on partitions; removing the good removable raises.
 A word is a tuple of factor ids in a FactorTable, which interns each
 (charge, parts) factor once and memoizes its scan and its lowerings:
-FactorTable.intern is the one place scan tables are filled, and word_scan
-the one fold of them across a word.
+FactorTable.intern is the one place scan tables are filled, and fold the one
+place they are cancelled across a word.  fold reports lowering only; raising
+is the fold of the mirrored word (word_scan), so the BFS in expand_level
+pays for one side only.
 """
 
 from .errors import ResourceCapError
@@ -52,42 +54,48 @@ def signature_scan(parts, charge, n):
     )
 
 
-def word_scan(tables, i):
-    """Signature fold across a word, given each factor's full scan table.
+def fold(tables, i):
+    """Lowering side of the signature rule across a word, at residue i.
 
-    Factor k contributes eps_k removables then phi_k addables at residue i;
-    addable-then-removable adjacencies cancel across factor boundaries.
-    Returns (eps, phi, pos_f, pos_e, add_row, rem_row): totals, the factor
-    indices where lowering / raising act (-1 when undefined), and the good
-    rows inside those factors.
+    tables are the word's factors' scan tables.  Factor k contributes eps_k
+    removables then phi_k addables; addable-then-removable adjacencies
+    cancel across factor boundaries (the only place they are cancelled).
+    Returns (phi, pos_f, add_row): the surviving addables, the index of the
+    factor owning the first of them and its good row there, or (0, -1, 0).
     """
-    eps = 0
-    pos_e = -1
-    rem_row = 0
     size = 0
     pos_f = -1
     add_row = 0
     for k, table in enumerate(tables):
-        f_eps, f_phi, f_add, f_rem = table[i]
+        f_eps, f_phi, f_add, _ = table[i]
         if f_eps:
-            if f_eps >= size:
-                extra = f_eps - size
-                size = 0
-                if extra:
-                    eps += extra
-                    pos_e = k
-                    rem_row = f_rem
-            else:
-                size -= f_eps
+            size = size - f_eps if size > f_eps else 0
         if f_phi:
-            if size == 0:
+            if not size:
                 pos_f = k
                 add_row = f_add
             size += f_phi
-    if size == 0:
-        pos_f = -1
-        add_row = 0
-    return (eps, size, pos_f, pos_e, add_row, rem_row)
+    if not size:
+        return 0, -1, 0
+    return size, pos_f, add_row
+
+
+def word_scan(tables, i):
+    """Both sides of the signature rule across a word, by two folds.
+
+    Raising is lowering of the mirrored word: factors reversed, each entry
+    (eps, phi, add, rem) read as (phi, eps, rem, add), so its surviving
+    addables are the word's surviving removables and its first one the
+    word's last.  Returns (eps, phi, pos_f, pos_e, add_row, rem_row): totals,
+    the factor indices where lowering / raising act (-1 when undefined), and
+    the good rows inside those factors.
+    """
+    phi, pos_f, add_row = fold(tables, i)
+    entries = [table[i] for table in reversed(tables)]
+    mirrored = [((f_phi, f_eps, f_rem, f_add),) for f_eps, f_phi, f_add, f_rem in entries]
+    eps, pos_m, rem_row = fold(mirrored, 0)
+    pos_e = len(tables) - 1 - pos_m if eps else -1
+    return (eps, phi, pos_f, pos_e, add_row, rem_row)
 
 
 class FactorTable:
@@ -118,26 +126,32 @@ class FactorTable:
         return fid
 
 
-def expand_level(frontier, words, cvecs, index, edges, budget, table, node_cap):
+def expand_level(frontier, words, cvecs, index, slots, budget, table, node_cap):
     """Lower one BFS level in place and return the next frontier.
 
     words are tuples of factor ids in table, index maps each word to its
-    node id, and edges[(parent, i)] receives the child's node id.  Each
-    frontier node is lowered under every in-budget f_i, residues ascending;
-    a child not yet in index is appended (its cvec computed then), which is
-    what keeps generation deterministic.  Reaching node_cap nodes raises
-    ResourceCapError before the node is stored.
+    node id, and slots holds n edge slots per node: slots[parent * n + i] is
+    the child's node id, -1 while there is no f_i-edge.  Each frontier node
+    is lowered under every in-budget f_i, residues ascending; a child not
+    yet in index is appended with n empty slots and its cvec, which is what
+    keeps generation deterministic.  Nodes of one cvec all lie in one level,
+    so the children made under f_i from one parent cvec share one cvec tuple.
+    Reaching node_cap nodes raises ResourceCapError before the node is
+    stored.
     """
     scans, lowered, n = table.scans, table.lowered, table.n
+    empty = [-1] * n
+    child_cvecs = {}
     next_frontier = []
     for node_id in frontier:
         word, c = words[node_id], cvecs[node_id]
         tables = list(map(scans.__getitem__, word))
+        base = node_id * n
         for i in range(n):
             if c[i] >= budget[i]:
                 continue
-            _, phi, pos_f, _, add_row, _ = word_scan(tables, i)
-            if phi == 0:
+            phi, pos_f, add_row = fold(tables, i)
+            if not phi:
                 continue
             f = word[pos_f]
             g = lowered[f][i]
@@ -152,9 +166,13 @@ def expand_level(frontier, words, cvecs, index, edges, budget, table, node_cap):
                     raise ResourceCapError(node_cap, budget, child_id + 1)
                 index[child] = child_id
                 words.append(child)
-                cvecs.append(c[:i] + (c[i] + 1,) + c[i + 1 :])
+                cc = child_cvecs.get((c, i))
+                if cc is None:
+                    cc = child_cvecs[(c, i)] = c[:i] + (c[i] + 1,) + c[i + 1 :]
+                cvecs.append(cc)
+                slots.extend(empty)
                 next_frontier.append(child_id)
-            edges[(node_id, i)] = child_id
+            slots[base + i] = child_id
     return next_frontier
 
 

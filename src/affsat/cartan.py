@@ -25,10 +25,10 @@ from any number of threads.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate
 from operator import index as as_int
-from typing import Optional, Sequence
 
 from .errors import DomainError, IncomparableWeightsError, NoHighestWeightError, RankError
 
@@ -255,7 +255,7 @@ def is_dominant(mu: Weight) -> bool:
     return mu.is_dominant()
 
 
-def _solve_base_shift(n: int, d: Sequence[int]) -> Optional[tuple[int, ...]]:
+def _solve_base_shift(n: int, d: Sequence[int]) -> tuple[int, ...] | None:
     """Solve C s = d with s_0 = 0 over the integers, or None.
 
     This answers whether sum_i d_i Lambda_i equals an integer combination of
@@ -272,7 +272,7 @@ def _solve_base_shift(n: int, d: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple(accumulate([t0 - x for x in prefix[1:-1]], initial=0))
 
 
-def lowering_vector(lam: Weight, mu: Weight) -> Optional[tuple[int, ...]]:
+def lowering_vector(lam: Weight, mu: Weight) -> tuple[int, ...] | None:
     """Coefficients u with mu = lam - sum_i u_i alpha_i, or None.
 
     None means lam - mu is not in the root lattice (no dominance comparison
@@ -301,7 +301,7 @@ def dominance_leq(nu: Weight, mu: Weight) -> bool:
     return all(x >= 0 for x in u)
 
 
-def _reflect_to_dominant(p: list[int], c: list[int], floor: Optional[int] = None) -> bool:
+def _reflect_to_dominant(p: list[int], c: list[int], floor: int | None = None) -> bool:
     """Apply simple reflections to the weight with pairings p and lowering
     coefficients c, in place, at a negative pairing until none is left.
 
@@ -339,7 +339,7 @@ def dominant_representative(mu: Weight) -> Weight:
     return Weight(mu.n, mu.w, tuple(c))
 
 
-def dominant_lowering(plam: Sequence[int], u: Sequence[int]) -> Optional[tuple[int, ...]]:
+def dominant_lowering(plam: Sequence[int], u: Sequence[int]) -> tuple[int, ...] | None:
     """Lowering vector, from a dominant lam with pairings plam, of the
     dominant representative nu of mu = lam - sum_i u_i alpha_i; None when nu
     is not <= lam.

@@ -36,7 +36,6 @@ import os
 import re
 import sys
 from itertools import product
-from typing import Optional
 
 from .cartan import CONVENTION_ID, DEFAULT_NODE_CAP, Weight, canonical_dumps, weights_from_dims
 from .errors import (
@@ -144,7 +143,7 @@ def _tensor_pair(args) -> tuple[Weight, Weight]:
     return _framed(args.n, args.w1, "w1"), _framed(args.n, args.w2, "w2")
 
 
-def _operands(args) -> tuple[Weight, Optional[Weight], Weight]:
+def _operands(args) -> tuple[Weight, Weight | None, Weight]:
     """(lambda1, lambda2, mu) of mult and fixed.  Any tensor factor option
     selects the tensor form; otherwise lambda2 is None and lambda1 is lambda."""
     if args.w1 is None and args.w2 is None and args.lam1 is None and args.lam2 is None:
@@ -176,7 +175,7 @@ def _cache_key(lam: Weight, budget: tuple[int, ...]) -> str:
     return _sha256(payload)
 
 
-def cache_get_or_build(lam: Weight, budget, cache_dir: Optional[str], *,
+def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
                        node_cap: int = DEFAULT_NODE_CAP) -> str:
     """Canonical graph JSON for (lambda, budget), served from cache when possible.
 

@@ -23,8 +23,14 @@ finished graph (CrystalGraph.eps).
 Generation works on words of factor ids: each graph owns one
 kernels.FactorTable, which interns every (charge, parts) factor once, stores
 its signature scan (the one memo fill) and memoizes its lowerings, and
-kernels.expand_level lowers and dedups a whole BFS level.  (charge, parts)
-words are materialized only at the API edge (CrystalGraph.words, node()).
+kernels.expand_level lowers and dedups a whole BFS level, running only the
+lowering fold (kernels.fold; raising folds the mirrored word).  A graph keeps
+its f-edges as flat slots, n per node (slots[node * n + i] is the f_i-child
+or -1), which CrystalGraph.edges views as a read-only {(from, i): to}
+mapping; nodes lowered under f_i from one cvec share one child cvec tuple.
+The cyclic collector is paused for the BFS, which allocates nothing it
+could free, and the caller's setting restored after.  (charge, parts) words
+are materialized only at the API edge (CrystalGraph.words, node()).
 
 Tensor products follow the tensor-product rule: b1.b2 is killed by every e_i
 exactly when b1 is the highest-weight word of B(lambda1) and
@@ -34,11 +40,12 @@ over the truncated B(lambda2), the only graph built, which node_cap bounds.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter, namedtuple
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import product
-from typing import Optional
 
 from ._backend import kernels
 from .cartan import (
@@ -109,7 +116,7 @@ def tensor_eps_phi(node: CrystalNode, i: int) -> TensorEpsPhi:
     return TensorEpsPhi(eps, phi, pos_f if pos_f >= 0 else None, pos_e if pos_e >= 0 else None)
 
 
-def _word_lower(word: Word, i: int, table: kernels.FactorTable) -> Optional[Word]:
+def _word_lower(word: Word, i: int, table: kernels.FactorTable) -> Word | None:
     _, phi, pos_f, _, add_row, _ = _scan_word(word, i, table)
     if phi == 0:
         return None
@@ -117,7 +124,7 @@ def _word_lower(word: Word, i: int, table: kernels.FactorTable) -> Optional[Word
     return word[:pos_f] + ((charge, kernels.add_cell(parts, add_row)),) + word[pos_f + 1 :]
 
 
-def _word_raise(word: Word, i: int, table: kernels.FactorTable) -> Optional[Word]:
+def _word_raise(word: Word, i: int, table: kernels.FactorTable) -> Word | None:
     eps, _, _, pos_e, _, rem_row = _scan_word(word, i, table)
     if eps == 0:
         return None
@@ -125,7 +132,7 @@ def _word_raise(word: Word, i: int, table: kernels.FactorTable) -> Optional[Word
     return word[:pos_e] + ((charge, kernels.remove_cell(parts, rem_row)),) + word[pos_e + 1 :]
 
 
-def apply_tensor_operator(node: CrystalNode, i: int, direction: str) -> Optional[CrystalNode]:
+def apply_tensor_operator(node: CrystalNode, i: int, direction: str) -> CrystalNode | None:
     """Word-level f_i / e_i; None at a string end."""
     if direction not in ("lower", "raise"):
         raise DomainError(f'direction must be "lower" or "raise", got {direction!r}')
@@ -134,23 +141,54 @@ def apply_tensor_operator(node: CrystalNode, i: int, direction: str) -> Optional
     return None if word is None else CrystalNode(node.n, word)
 
 
+class EdgeView(Mapping):
+    """Read-only {(from, i): to} view of a graph's edge slots, iterating in
+    ascending (from, i).  slots[from * n + i] is the f_i-child of from, or
+    -1 where there is none."""
+
+    __slots__ = ("_slots", "_n")
+
+    def __init__(self, slots: list[int], n: int):
+        self._slots = slots
+        self._n = n
+
+    def __getitem__(self, key) -> int:
+        try:
+            a, i = key
+            if a >= 0 and 0 <= i < self._n:
+                b = self._slots[a * self._n + i]
+                if b >= 0:
+                    return b
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        n = self._n
+        return (divmod(k, n) for k, b in enumerate(self._slots) if b >= 0)
+
+    def __len__(self) -> int:
+        return len(self._slots) - self._slots.count(-1)
+
+
 class CrystalGraph:
     """Truncated crystal graph: nodes reachable from the highest-weight word
     by f-edges whose lowering stays within the budget.
 
     Nodes are id words over table; words materializes them as
-    (charge, parts) words on first use."""
+    (charge, parts) words on first use.  slots holds the f-edges, n per
+    node (see EdgeView), and edges views them as a mapping."""
 
     def __init__(self, lam: Weight, budget: tuple[int, ...], table: kernels.FactorTable,
-                 id_words: list[IdWord], cvecs: list[tuple[int, ...]],
-                 edges: dict[tuple[int, int], int]):
+                 id_words: list[IdWord], cvecs: list[tuple[int, ...]], slots: list[int]):
         self.lam = lam
         self.n = lam.n
         self.budget = budget
         self.table = table
         self.id_words = id_words
         self.cvecs = cvecs
-        self.edges = edges
+        self.slots = slots
+        self.edges = EdgeView(slots, lam.n)
 
     def __len__(self) -> int:
         return len(self.id_words)
@@ -175,17 +213,16 @@ class CrystalGraph:
         """eps_i of every node: the length of the chain of i-edges into it.
 
         e_i only lowers c_i, so the whole i-string above a node lies inside
-        the budget.  generate_crystal inserts edges level by level, so one
-        pass in insertion order finishes a parent's value before its child's.
+        the budget.  A child's id exceeds its parent's, so one pass over the
+        i-slots in node order finishes a parent's value before its child's.
         """
-        i %= self.n
         eps = [0] * len(self.id_words)
-        for (a, j), b in self.edges.items():
-            if j == i:
+        for a, b in enumerate(self.slots[i % self.n :: self.n]):
+            if b >= 0:
                 eps[b] = eps[a] + 1
         return eps
 
-    def singular_node_ids(self, i: Optional[int] = None) -> list[int]:
+    def singular_node_ids(self, i: int | None = None) -> list[int]:
         """Nodes killed by e_i (or by every e_j when i is None)."""
         residues = range(self.n) if i is None else (i,)
         eps = [self.eps(j) for j in residues]
@@ -211,13 +248,17 @@ class CrystalGraph:
         A node's weight is lambda lowered by its cvec.
         """
         # The charge at each word position is the same in every word, so
-        # words order as the tuples of their factors' ranks.
+        # words order as the tuples of their factors' ranks, and so as those
+        # ranks read as the digits of one int in base len(factors).
         coded = self.id_words
         factors = self.table.factors
         rank = [0] * len(factors)
         for r, k in enumerate(sorted(range(len(factors)), key=factors.__getitem__)):
             rank[k] = r
-        keys = [tuple(map(rank.__getitem__, word)) for word in coded]
+        base = len(factors)
+        keys = [0] * len(coded)
+        for k in range(len(coded[0])):
+            keys = [key * base + rank[word[k]] for key, word in zip(keys, coded)]
         order = sorted(range(len(coded)), key=keys.__getitem__)
         relabel = [0] * len(order)
         for new, old in enumerate(order):
@@ -227,26 +268,25 @@ class CrystalGraph:
         lam_c = self.lam.c
         weight_tail = f',"n":{self.n},"w":{canonical_dumps(list(self.lam.w))}}}'
         weight_text: dict[tuple[int, ...], str] = {}
-        nodes = []
+        n, slots, cvecs = self.n, self.slots, self.cvecs
+        node_args = []
+        edge_args = []
         for new, old in enumerate(order):
-            cvec = self.cvecs[old]
+            cvec = cvecs[old]
             weight = weight_text.get(cvec)
             if weight is None:
                 weight = weight_text[cvec] = (
                     '{"c":' + _ints([a + b for a, b in zip(lam_c, cvec)]) + weight_tail)
-            word = ",".join(map(factor_text.__getitem__, coded[old]))
-            nodes.append(f'{{"id":{new},"weight":{weight},"word":[{word}]}}')
-        # Each (from, i) has at most one edge: slot from * n + i, in sorted order.
-        n = self.n
-        slots = [-1] * (len(order) * n)
-        for (a, i), b in self.edges.items():
-            slots[relabel[a] * n + i] = relabel[b]
-        edges = ",".join(['{"from":%d,"i":%d,"to":%d}' % (k // n, k % n, b)
-                          for k, b in enumerate(slots) if b >= 0])
+            node_args += (new, weight, ",".join(map(factor_text.__getitem__, coded[old])))
+            for i, b in enumerate(slots[old * n : old * n + n]):
+                if b >= 0:
+                    edge_args += (new, i, relabel[b])
+        nodes = ",".join(['{"id":%d,"weight":%s,"word":[%s]}'] * (len(node_args) // 3))
+        edges = ",".join(['{"from":%d,"i":%d,"to":%d}'] * (len(edge_args) // 3))
         return (f'{{"budget":{canonical_dumps(list(self.budget))},"edges":['
-                + edges
+                + edges % tuple(edge_args)
                 + f'],"lambda":{canonical_dumps(self.lam.to_json())},"nodes":['
-                + ",".join(nodes) + "]}")
+                + nodes % tuple(node_args) + "]}")
 
     def canonical_digest(self) -> str:
         import hashlib
@@ -289,14 +329,22 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
     words: list[IdWord] = [hw]
     cvecs: list[tuple[int, ...]] = [(0,) * n]
     index: dict[IdWord, int] = {hw: 0}
-    edges: dict[tuple[int, int], int] = {}
+    slots = [-1] * n
 
-    frontier = [0]
-    while frontier:
-        frontier = kernels.expand_level(frontier, words, cvecs, index, edges, budget, table,
-                                        node_cap)
+    # Nothing the BFS allocates can form a cycle (tuples and lists of ints,
+    # dicts of them), so a collector pass during it would free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        frontier = [0]
+        while frontier:
+            frontier = kernels.expand_level(frontier, words, cvecs, index, slots, budget, table,
+                                            node_cap)
+    finally:
+        if enabled:
+            gc.enable()
 
-    return CrystalGraph(lam, budget, table, words, cvecs, edges)
+    return CrystalGraph(lam, budget, table, words, cvecs, slots)
 
 
 def weight_multiplicity(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE_CAP) -> int:
@@ -387,11 +435,13 @@ def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight, *,
     lam1 + lam2 with both factor multiplicities nonzero.
 
     Returns (s, rest, mult1(s), mult2(rest)) in lexicographic order of s;
-    empty when mu is not below lam1 + lam2.
+    empty, with no graph built, when mu is not below lam1 + lam2 or is not
+    a weight of L(lam1 + lam2), whose weights a tensor product shares.
     """
     _require_tensor_factors(lam1, lam2)
-    u = lowering_vector(lam1 + lam2, mu)
-    if u is None or any(x < 0 for x in u):
+    base = lam1 + lam2
+    u = lowering_vector(base, mu)
+    if u is None or any(x < 0 for x in u) or not is_weight_of(base, mu):
         return []
     counts1 = generate_crystal(lam1, u, node_cap=node_cap).weight_counts()
     counts2 = generate_crystal(lam2, u, node_cap=node_cap).weight_counts()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import index as as_int
-from typing import Optional
 
 from ._backend import kernels
 from .cartan import Frozen, Weight, check_rank
@@ -119,7 +118,7 @@ def eps_phi(b: ChargedPartition, i: int) -> EpsPhi:
     )
 
 
-def apply_root_operator(b: ChargedPartition, i: int, direction: str) -> Optional[ChargedPartition]:
+def apply_root_operator(b: ChargedPartition, i: int, direction: str) -> ChargedPartition | None:
     """f_i (direction="lower") or e_i (direction="raise"); None at a string end."""
     if direction not in ("lower", "raise"):
         raise DomainError(f'direction must be "lower" or "raise", got {direction!r}')

@@ -371,6 +371,24 @@ def test_mult_off_the_weight_lattice_builds_no_graph(capsys, monkeypatch):
     assert code == 3 and "node cap of 100" in err
 
 
+def test_tensor_off_the_weight_lattice_builds_no_graph(capsys, monkeypatch):
+    from affsat._backend import kernels
+
+    calls = []
+    expand_level = kernels.expand_level
+    monkeypatch.setattr(kernels, "expand_level",
+                        lambda *args: calls.append(1) or expand_level(*args))
+    pair = ("-n", "2", "--w1", "1,0", "--w2", "0,1", "--node-cap", "100")
+    assert run_cli(capsys, "mult", *pair, "-v", "30,20") == (0, '{"multiplicity":0}\n', "")
+    assert run_cli(capsys, "fixed", *pair, "-v", "30,20") == (
+        0, '{"count":0,"splittings":[]}\n', "")
+    assert calls == []
+    # a weight of L(lam1 + lam2) still builds its factor graphs, under the same cap
+    for command in ("mult", "fixed"):
+        code, _, err = run_cli(capsys, command, *pair, "-v", "30,30")
+        assert code == 3 and "node cap of 100" in err
+
+
 def test_memory_error_exit(capsys, monkeypatch):
     from affsat import crystal
 

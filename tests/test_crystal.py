@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 from collections import Counter
@@ -15,6 +16,7 @@ from affsat import (
     freudenthal_multiplicity,
     fundamental_weight,
     generate_crystal,
+    is_weight_of,
     levi_branching,
     tensor_eps_phi,
     tensor_fixed_points,
@@ -24,7 +26,7 @@ from affsat import (
 )
 from affsat import _kernels_py as kernels
 from affsat.cli import dot_from_graph_json
-from affsat.crystal import _scan_word, canonical_charges
+from affsat.crystal import _scan_word, _word_raise, canonical_charges, tensor_splittings
 
 from conftest import dominant_bases, lowered
 
@@ -186,6 +188,75 @@ def test_engine_matches_reference_bfs(n, shift):
             assert g.words == words, (base.w, budget)
             assert g.cvecs == cvecs, (base.w, budget)
             assert g.edges == edges, (base.w, budget)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_edge_view_matches_reference_dict(n):
+    odd_keys = [(0,), (0, 0, 0), (0.5, 0), "ab", None]
+    for lam in dominant_bases(n, 2):
+        budget = (2,) * n
+        g = generate_crystal(lam, budget)
+        _, _, edges = _reference_generate(lam, budget)
+        view = g.edges
+        assert view == edges and edges == view
+        assert len(view) == len(edges) > 0
+        assert list(view) == sorted(edges)
+        assert list(view.items()) == sorted(edges.items())
+        # negative node ids would index the slots list from its end
+        keys = [(a, i) for a in range(-len(g), len(g) + 1) for i in range(-1, n + 1)] + odd_keys
+        for key in keys:
+            assert (key in view) == (key in edges), key
+            assert view.get(key) == edges.get(key), key
+            if key in edges:
+                assert view[key] == edges[key]
+            else:
+                with pytest.raises(KeyError):
+                    view[key]
+    with pytest.raises(TypeError):
+        view[(0, 0)] = 1
+
+
+@pytest.mark.parametrize("n, w, budget", [
+    (3, (1, 0, 0), (4, 4, 4)),
+    (2, (1, 1), (5, 5)),
+    (3, (1, 1, 1), (3, 3, 3)),
+])
+def test_eps_is_the_raising_string_length(n, w, budget):
+    # levels 1, 2 and 3: eps_i read off the i-slots against e_i applied
+    # until it stops
+    g = generate_crystal(Weight(n, w, (0,) * n), budget)
+    table = kernels.FactorTable(n)
+    for i in range(n):
+        eps = g.eps(i)
+        for node_id, word in enumerate(g.words):
+            length = 0
+            while (word := _word_raise(word, i, table)) is not None:
+                length += 1
+            assert eps[node_id] == length, (node_id, i)
+        assert g.eps(i + n) == eps
+    assert len(g) > 100
+
+
+def test_generate_crystal_restores_collector_state(monkeypatch):
+    # the BFS runs with the cyclic collector paused and leaves it as found,
+    # also when the node cap ends the build
+    seen = []
+    expand_level = kernels.expand_level
+    monkeypatch.setattr(kernels, "expand_level",
+                        lambda *args: seen.append(gc.isenabled()) or expand_level(*args))
+    lam = fundamental_weight(2, 0)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            generate_crystal(lam, (3, 3))
+            assert gc.isenabled() is enabled
+            with pytest.raises(ResourceCapError):
+                generate_crystal(lam, (4, 4), node_cap=5)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen and not any(seen)
 
 
 @pytest.mark.parametrize("n, w, budget", [
@@ -381,6 +452,29 @@ def test_tensor_weight_multiplicity_examples():
     m1, m3 = fundamental_weight(4, 1), fundamental_weight(4, 3)
     assert tensor_weight_multiplicity(m1, m3, lowered(m1 + m3, (0, 1, 1, 1))) == 4
     assert tensor_weight_multiplicity(l1, l2, base) == 1
+
+
+@pytest.mark.parametrize("n, top", [(2, 4), (3, 2)])
+def test_tensor_splittings_on_a_box_with_non_weights(n, top):
+    # tensor_splittings answers non-weights of L(lam1 + lam2) without
+    # graphs; the convolution of the factors' box counts holds it to every
+    # point, so the short-circuit never changes an answer
+    weights = dominant_bases(n, 2)
+    counts = {lam: generate_crystal(lam, (top,) * n).weight_counts() for lam in weights}
+    for lam1, lam2 in itertools.product(weights, repeat=2):
+        zeros = 0
+        for u in itertools.product(range(-1, top + 1), repeat=n):
+            expected = []
+            if min(u) >= 0:
+                for s in itertools.product(*(range(x + 1) for x in u)):
+                    rest = tuple(a - b for a, b in zip(u, s))
+                    m1, m2 = counts[lam1].get(s, 0), counts[lam2].get(rest, 0)
+                    if m1 and m2:
+                        expected.append((s, rest, m1, m2))
+            mu = lowered(lam1 + lam2, u)
+            assert tensor_splittings(lam1, lam2, mu) == expected, (lam1, lam2, u)
+            zeros += min(u) >= 0 and not is_weight_of(lam1 + lam2, mu)
+        assert zeros > 0, (lam1, lam2)
 
 
 def test_tensor_weight_multiplicity_off_cone():

@@ -1,5 +1,9 @@
 """Properties of the signature-rule kernels, checked against cell-by-cell
-recounts."""
+recounts and against the two-sided word fold the mirrored one replaced."""
+
+import random
+
+import pytest
 
 from affsat import _kernels_py as kernels
 
@@ -46,3 +50,55 @@ def test_scan_counts_match_boundary():
                     assert phi - eps == addable[i] - removable[i]
                     assert (add_row > 0) == (phi > 0)
                     assert (rem_row > 0) == (eps > 0)
+
+
+def _reference_word_scan(tables, i):
+    """The two-sided fold word_scan was before raising became the mirrored
+    lowering fold: one pass tracking both the surviving removables and the
+    surviving addables."""
+    eps = 0
+    pos_e = -1
+    rem_row = 0
+    size = 0
+    pos_f = -1
+    add_row = 0
+    for k, table in enumerate(tables):
+        f_eps, f_phi, f_add, f_rem = table[i]
+        if f_eps:
+            if f_eps >= size:
+                extra = f_eps - size
+                size = 0
+                if extra:
+                    eps += extra
+                    pos_e = k
+                    rem_row = f_rem
+            else:
+                size -= f_eps
+        if f_phi:
+            if size == 0:
+                pos_f = k
+                add_row = f_add
+            size += f_phi
+    if size == 0:
+        pos_f = -1
+        add_row = 0
+    return (eps, size, pos_f, pos_e, add_row, rem_row)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_word_scan_by_two_folds_matches_two_sided_fold(n):
+    rng = random.Random(1000 + n)
+    partitions = all_partitions(8)
+    checked = 0
+    for level in range(1, 5):
+        for _ in range(300):
+            tables = [kernels.signature_scan(rng.choice(partitions), rng.randrange(n), n)
+                      for _ in range(level)]
+            for i in range(n):
+                expected = _reference_word_scan(tables, i)
+                assert kernels.word_scan(tables, i) == expected, (tables, i)
+                phi, pos_f, add_row = kernels.fold(tables, i)
+                assert (phi, pos_f, add_row) == (expected[1], expected[2], expected[4])
+                checked += expected[0] > 0 and expected[1] > 0
+    # words where both operators act, so the mirrored fold is exercised
+    assert checked > 100

@@ -33,7 +33,7 @@ EXPORTS = {
                "fixed_point_count", "sheaf_multiplicity_table", "tensor_fixed_points"],
 }
 
-DEFERRED = ["dataclasses", "inspect", "hashlib", "tempfile", "pathlib", "affsat.crystal",
+DEFERRED = ["dataclasses", "inspect", "typing", "hashlib", "tempfile", "pathlib", "affsat.crystal",
             "affsat.satake", "affsat.fock", "affsat._kernels_py"]
 
 # -S keeps site hooks from importing modules affsat itself should not need.
@@ -63,6 +63,9 @@ assert {"affsat.crystal", "affsat.fock", "affsat._kernels_py", "hashlib"} <= set
 assert "affsat.satake" not in sys.modules
 leaves = run("leaves", "-n", "3", "-w", "1,1,0", "-v", "2,2,2")
 assert "affsat.satake" in sys.modules
+# annotations are never evaluated, so no module needs typing for them
+import affsat.crystal, affsat.satake, affsat.fock
+assert "typing" not in sys.modules
 print(json.dumps([doc, leaves]))
 """
 
