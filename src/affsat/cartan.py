@@ -225,9 +225,8 @@ def weights_from_dims(n: int, w: Sequence[int], v: Sequence[int]) -> tuple[Weigh
         raise DomainError(f"dimension vectors must have length n={n}")
     if any(x < 0 for x in w) or any(x < 0 for x in v):
         raise DomainError("dimension vectors must be componentwise nonnegative")
-    if all(x == 0 for x in w):
-        raise NoHighestWeightError("w = 0 gives no highest weight")
     lam = Weight(n, w, (0,) * n)
+    highest_pairings(lam)
     mu = Weight(n, w, v)
     return lam, mu
 
@@ -253,6 +252,20 @@ def weight_invariants(mu: Weight) -> dict:
 
 def is_dominant(mu: Weight) -> bool:
     return mu.is_dominant()
+
+
+def highest_pairings(lam: Weight) -> tuple[int, ...]:
+    """The pairings of lam, once lam is checked as a highest weight: dominant
+    and of level >= 1, as sum w_i Lambda_i is for every nonzero framing w.
+    The only check of lambda; every entry point that takes one calls it.
+    Raises DomainError for a negative pairing, NoHighestWeightError at level 0.
+    """
+    p = lam.pairings()
+    if min(p) < 0:
+        raise DomainError(f"highest weight must be dominant: {lam!r} has pairings {p}")
+    if lam.level < 1:
+        raise NoHighestWeightError(f"highest weight must have level >= 1: {lam!r}")
+    return p
 
 
 def _solve_base_shift(n: int, d: Sequence[int]) -> tuple[int, ...] | None:
@@ -362,8 +375,6 @@ def is_weight_of(lam: Weight, mu: Weight) -> bool:
     of multiplicities of §3.7), so this is a lattice test with no crystal
     graph.
     """
-    plam = lam.pairings()
-    if min(plam) < 0 or lam.level < 1:
-        raise DomainError(f"highest weight must be dominant of positive level: {lam!r}")
+    plam = highest_pairings(lam)
     u = lowering_vector(lam, mu)
     return u is not None and dominant_lowering(plam, u) is not None

@@ -38,13 +38,7 @@ import sys
 from itertools import product
 
 from .cartan import CONVENTION_ID, DEFAULT_NODE_CAP, Weight, canonical_dumps, weights_from_dims
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    IncomparableWeightsError,
-    RankError,
-    ResourceCapError,
-)
+from .errors import ConsistencyError, DomainError, ResourceCapError
 
 SCHEMA_VERSION = 2
 ENV_CACHE_DIR = "AFFSAT_CACHE_DIR"
@@ -121,8 +115,6 @@ def _resolve_budget(args, lam: Weight) -> tuple[int, ...]:
     if args.budget is not None:
         return _parse_vector(args.budget, lam.n, "budget")
     if args.depth is not None:
-        if args.depth < 0:
-            raise DomainError("--depth must be nonnegative")
         return (args.depth,) * lam.n
     if args.v is not None:
         return _parse_vector(args.v, lam.n, "v")
@@ -426,7 +418,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         doc, code = args.handler(args)
-    except (RankError, DomainError, IncomparableWeightsError) as exc:
+    except DomainError as exc:
         print(f"affsat: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ResourceCapError, MemoryError) as exc:

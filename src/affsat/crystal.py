@@ -53,10 +53,11 @@ from .cartan import (
     DEFAULT_NODE_CAP,
     Weight,
     canonical_dumps,
+    highest_pairings,
     is_weight_of,
     lowering_vector,
 )
-from .errors import ConsistencyError, DomainError, NoHighestWeightError
+from .errors import ConsistencyError, DomainError
 from .fock import ChargedPartition
 
 # A factor is (charge, parts); a word is a tuple of factors, an id word a
@@ -68,13 +69,8 @@ IdWord = tuple[int, ...]
 
 def canonical_charges(lam: Weight) -> tuple[int, ...]:
     """Charge list of lambda: residue i repeated <lambda, h_i> times, increasing."""
-    pairings = lam.pairings()
-    if any(x < 0 for x in pairings):
-        raise DomainError(f"negative pairing, no charge list: {lam!r}")
-    charges = tuple(i for i in range(lam.n) for _ in range(pairings[i]))
-    if not charges:
-        raise NoHighestWeightError("level-0 weight has no highest-weight crystal")
-    return charges
+    pairings = highest_pairings(lam)
+    return tuple(i for i in range(lam.n) for _ in range(pairings[i]))
 
 
 class CrystalNode(namedtuple("CrystalNode", "n word")):
@@ -309,23 +305,18 @@ def _validate_budget(n: int, budget) -> tuple[int, ...]:
     return budget
 
 
-def _require_dominant(lam: Weight) -> None:
-    if not lam.is_dominant():
-        raise DomainError(f"highest weight must be dominant: {lam!r} has pairings {lam.pairings()}")
-
-
 def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -> CrystalGraph:
     """Breadth-first closure of the highest-weight word under all f_i within budget.
 
     The node set and edge map depend only on (lambda, budget).  Exceeding
     node_cap raises ResourceCapError naming the cap.
     """
-    _require_dominant(lam)
+    charges = canonical_charges(lam)
     n = lam.n
     budget = _validate_budget(n, budget)
     table = kernels.FactorTable(n)
 
-    hw: IdWord = tuple(table.intern((ch, ())) for ch in canonical_charges(lam))
+    hw: IdWord = tuple(table.intern((ch, ())) for ch in charges)
     words: list[IdWord] = [hw]
     cvecs: list[tuple[int, ...]] = [(0,) * n]
     index: dict[IdWord, int] = {hw: 0}
@@ -351,16 +342,13 @@ def weight_multiplicity(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE
     """dim of the mu weight space of the highest-weight module for lambda.
 
     Counts crystal nodes of weight mu in the graph truncated exactly at the
-    lowering vector of mu.  Zero with no graph when mu is not below lambda,
-    or, at positive level, when mu is not a weight of L(lambda) at all
-    (cartan.is_weight_of).
+    lowering vector of mu.  Zero with no graph when mu is not a weight of
+    L(lambda) at all (cartan.is_weight_of), which covers every mu not below
+    lambda.
     """
-    _require_dominant(lam)
+    if not is_weight_of(lam, mu):
+        return 0
     u = lowering_vector(lam, mu)
-    if u is None or any(x < 0 for x in u):
-        return 0
-    if lam.level >= 1 and not is_weight_of(lam, mu):
-        return 0
     graph = generate_crystal(lam, u, node_cap=node_cap)
     return graph.weight_counts().get(u, 0)
 
@@ -374,7 +362,7 @@ def levi_branching(lam: Weight, mu: Weight, i: int, *,
     (m_k = max(0, mult(mu + k alpha_i) - mult(mu + (k+1) alpha_i))) and the
     two routes must agree; disagreement raises ConsistencyError.
     """
-    _require_dominant(lam)
+    highest_pairings(lam)
     i %= lam.n
     u = lowering_vector(lam, mu)
     if u is None or any(x < 0 for x in u):
@@ -400,15 +388,6 @@ def levi_branching(lam: Weight, mu: Weight, i: int, *,
 # -- tensor products -------------------------------------------------------
 
 
-def _require_tensor_factors(lam1: Weight, lam2: Weight) -> None:
-    for lam in (lam1, lam2):
-        _require_dominant(lam)
-        if lam.level < 1:
-            raise NoHighestWeightError("tensor factors must have level >= 1")
-    if lam1.n != lam2.n:
-        raise DomainError("tensor factors must share the rank")
-
-
 def tensor_highest_weights(lam1: Weight, lam2: Weight, budget, *,
                            node_cap: int = DEFAULT_NODE_CAP) -> dict[Weight, int]:
     """Decomposition multiplicities of lam1 (x) lam2 within a truncation.
@@ -419,13 +398,13 @@ def tensor_highest_weights(lam1: Weight, lam2: Weight, budget, *,
     pass over B(lam2) truncated at the budget, the only graph built and the
     one node_cap bounds, reading eps_i(b2) off that graph's i-edges.
     """
-    _require_tensor_factors(lam1, lam2)
+    bound = highest_pairings(lam1)
+    highest_pairings(lam2)
+    base = lam1 + lam2
     graph = generate_crystal(lam2, budget, node_cap=node_cap)
-    bound = lam1.pairings()
     eps = [graph.eps(i) for i in range(lam1.n)]
     counts = Counter(c for c, *e in zip(graph.cvecs, *eps)
                      if all(x <= b for x, b in zip(e, bound)))
-    base = lam1 + lam2
     return {base.lowered(c): m for c, m in counts.items()}
 
 
@@ -438,11 +417,12 @@ def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight, *,
     empty, with no graph built, when mu is not below lam1 + lam2 or is not
     a weight of L(lam1 + lam2), whose weights a tensor product shares.
     """
-    _require_tensor_factors(lam1, lam2)
+    highest_pairings(lam1)
+    highest_pairings(lam2)
     base = lam1 + lam2
-    u = lowering_vector(base, mu)
-    if u is None or any(x < 0 for x in u) or not is_weight_of(base, mu):
+    if not is_weight_of(base, mu):
         return []
+    u = lowering_vector(base, mu)
     counts1 = generate_crystal(lam1, u, node_cap=node_cap).weight_counts()
     counts2 = generate_crystal(lam2, u, node_cap=node_cap).weight_counts()
     out = []

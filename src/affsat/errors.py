@@ -5,19 +5,19 @@ class AffsatError(Exception):
     """Base class for all library errors."""
 
 
-class RankError(AffsatError, ValueError):
-    """Rank below 2; the affine type-A family starts at n = 2."""
-
-
 class DomainError(AffsatError, ValueError):
     """Input outside an operation's domain (negative dims, length mismatch...)."""
 
 
+class RankError(DomainError):
+    """Rank below 2; the affine type-A family starts at n = 2."""
+
+
 class NoHighestWeightError(DomainError):
-    """All framing dimensions zero: no highest weight to generate from."""
+    """Level below 1: no highest-weight module to generate from."""
 
 
-class IncomparableWeightsError(AffsatError, ValueError):
+class IncomparableWeightsError(DomainError):
     """Weights whose difference is not in the root lattice; no dominance order."""
 
 

@@ -21,6 +21,10 @@ whose terms mult(nu + k alpha) is reduced the same way (Moody-Patera, Bull.
 AMS 7, 1982).  The recursion is evaluated with an explicit stack, never by
 Python recursion, so its depth is not bounded by the interpreter.
 
+The §3.12 reduction holds only at positive level, so lambda must be
+dominant of level >= 1 (cartan.highest_pairings, checked when lambda first
+reaches the memo); a level-0 lambda raises NoHighestWeightError.
+
 Results are memoized per (lambda, dominant nu) for the life of the process:
 at lambda = Lambda_0, n = 2, the query at lambda - d delta stores the d + 1
 weights lambda - k delta, k <= d.  Every entry is a deterministic function
@@ -33,7 +37,14 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .cartan import Weight, cartan_apply, check_rank, dominant_lowering, lowering_vector
+from .cartan import (
+    Weight,
+    cartan_apply,
+    check_rank,
+    dominant_lowering,
+    highest_pairings,
+    lowering_vector,
+)
 from .errors import ConsistencyError, DomainError
 
 
@@ -153,14 +164,12 @@ def freudenthal_multiplicity(lam: Weight, mu: Weight) -> int:
 
     Zero when the dominant representative of mu is not below lambda
     (cartan.is_weight_of); otherwise the multiplicity at that representative,
-    which equals the one at mu.  One at mu = lam.
+    which equals the one at mu.  One at mu = lam.  lam must be dominant of
+    level >= 1.
     """
     entry = _memo.get(lam)
     if entry is None:
-        plam = lam.pairings()
-        if min(plam) < 0:
-            raise DomainError(f"highest weight must be dominant: {lam!r}")
-        entry = _memo.setdefault(lam, (plam, {(0,) * lam.n: 1}))
+        entry = _memo.setdefault(lam, (highest_pairings(lam), {(0,) * lam.n: 1}))
     plam, memo = entry
     u = lowering_vector(lam, mu)
     if u is None:

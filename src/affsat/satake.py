@@ -16,7 +16,7 @@ from collections import namedtuple
 from itertools import product
 
 from . import crystal
-from .cartan import DEFAULT_NODE_CAP, Weight, lowering_vector
+from .cartan import DEFAULT_NODE_CAP, Weight, highest_pairings, lowering_vector
 from .errors import DomainError
 
 
@@ -73,8 +73,7 @@ def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> li
     kept only when include_empty is set.  Sorted by height of lambda - kappa,
     then by the lowering vector, then by k.
     """
-    if not lam.is_dominant():
-        raise DomainError(f"lambda must be dominant: {lam!r}")
+    highest_pairings(lam)
     v = lowering_vector(lam, mu)
     if v is None or any(x < 0 for x in v):
         raise DomainError("mu must be lambda lowered by a nonnegative root-lattice vector")

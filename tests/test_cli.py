@@ -157,6 +157,16 @@ def test_tensor_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_negative_depth(capsys):
+    # the budget check of crystal generation refuses it, for every command
+    for argv in [("crystal", "-n", "2", "-w", "1,0"),
+                 ("tensor", "-n", "2", "--w1", "1,0", "--w2", "0,1"),
+                 ("check", "-n", "2", "-w", "1,0")]:
+        code, out, err = run_cli(capsys, *argv, "--depth", "-1")
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and "nonnegative" in err, argv
+
+
 def test_tensor_level_zero_factor(capsys):
     zero = '{"n": 3, "w": [0, 0, 0], "c": [0, 0, 0]}'
     lam = '{"n": 3, "w": [0, 1, 0], "c": [0, 0, 0]}'

@@ -106,3 +106,15 @@ def test_export_list_and_star_import():
         affsat.no_such_name
     with pytest.raises(ImportError):
         exec("from affsat import no_such_name", {})
+
+
+def test_input_errors_are_domain_errors():
+    """The CLI maps DomainError to exit 2; every input error is one."""
+    from affsat import errors
+
+    for name in ("RankError", "NoHighestWeightError", "IncomparableWeightsError"):
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.DomainError), name
+        assert issubclass(cls, errors.AffsatError) and issubclass(cls, ValueError), name
+    for cls in (errors.ResourceCapError, errors.ConsistencyError):
+        assert not issubclass(cls, errors.DomainError), cls
