@@ -7,13 +7,13 @@ inconsistency (should not happen; it means the two multiplicity routes
 disagreed).
 
 The parser is the contract: each subcommand binds its handler and declares
-exactly the options the handler reads.  Each input is given one way, except
-the budget: --budget, else --depth, else -v.
+exactly the options the handler reads.  Each input is given one way.
 lambda is -n with -w framing dims (lambda = sum w_i Lambda_i) or --lam weight
 JSON {"n":..,"w":..,"c":..}, which carries its own rank, so -n goes only with
 -w, --w1 and --w2.  mu is -v gauge dims (mu = lambda - sum v_i alpha_i) or
 --mu JSON.  mult and fixed take lambda or a tensor pair (--w1/--w2 or
---lam1/--lam2).
+--lam1/--lam2), each factor read as lambda is.  The budget of crystal and
+tensor is --budget, --depth or -v.
 The graph cache keeps one file {key}.json per key under --cache-dir (default
 $AFFSAT_CACHE_DIR; an empty value means no cache), keyed by a digest of
 (schema version, rank, lambda, budget, convention id).  An entry is the
@@ -84,22 +84,25 @@ def _weight_from_json_arg(text: str) -> Weight:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed weight JSON {text!r}: {exc}") from exc
+    except RecursionError:
+        raise DomainError("malformed weight JSON: nested too deeply") from None
     return Weight.from_json(obj)
 
 
-def _framed(n: int, w: str, name: str) -> Weight:
-    """The dominant weight sum w_i Lambda_i of framing dims w at rank n."""
-    return weights_from_dims(n, _parse_vector(w, n, name), (0,) * n)[0]
-
-
-def _resolve_lambda(args) -> Weight:
-    if args.lam is not None:
+def _weight(args, dims_flag: str, json_flag: str) -> Weight:
+    """The weight given by json_flag's weight JSON or by dims_flag's framing
+    dims w at rank -n (sum w_i Lambda_i): lambda, or one tensor factor."""
+    text = getattr(args, json_flag.lstrip("-"))
+    if text is not None:
         if args.n is not None:
-            raise DomainError("-n goes with -w, not --lam: weight JSON carries its own rank")
-        return _weight_from_json_arg(args.lam)
-    if args.n is None or args.w is None:
-        raise DomainError("pass -n with -w, or an explicit --lam JSON weight")
-    return _framed(args.n, args.w, "w")
+            raise DomainError(f"-n goes with {dims_flag}, not {json_flag}: "
+                              "weight JSON carries its own rank")
+        return _weight_from_json_arg(text)
+    name = dims_flag.lstrip("-")
+    dims = getattr(args, name)
+    if args.n is None or dims is None:
+        raise DomainError(f"pass -n with {dims_flag}, or an explicit {json_flag} JSON weight")
+    return weights_from_dims(args.n, _parse_vector(dims, args.n, name), (0,) * args.n)[0]
 
 
 def _resolve_mu(args, lam: Weight) -> Weight:
@@ -122,24 +125,14 @@ def _resolve_budget(args, lam: Weight) -> tuple[int, ...]:
 
 
 def _tensor_pair(args) -> tuple[Weight, Weight]:
-    if args.lam1 is not None or args.lam2 is not None:
-        if args.lam1 is None or args.lam2 is None:
-            raise DomainError("--lam1 and --lam2 must be given together")
-        if args.n is not None:
-            raise DomainError("-n goes with --w1/--w2, not --lam1/--lam2")
-        return _weight_from_json_arg(args.lam1), _weight_from_json_arg(args.lam2)
-    if args.w1 is None or args.w2 is None:
-        raise DomainError("tensor queries need --w1 and --w2 (or --lam1/--lam2)")
-    if args.n is None:
-        raise DomainError("pass -n with --w1/--w2")
-    return _framed(args.n, args.w1, "w1"), _framed(args.n, args.w2, "w2")
+    return _weight(args, "--w1", "--lam1"), _weight(args, "--w2", "--lam2")
 
 
 def _operands(args) -> tuple[Weight, Weight | None, Weight]:
     """(lambda1, lambda2, mu) of mult and fixed.  Any tensor factor option
     selects the tensor form; otherwise lambda2 is None and lambda1 is lambda."""
     if args.w1 is None and args.w2 is None and args.lam1 is None and args.lam2 is None:
-        lam = _resolve_lambda(args)
+        lam = _weight(args, "-w", "--lam")
         return lam, None, _resolve_mu(args, lam)
     if args.w is not None or args.lam is not None:
         raise DomainError("-w/--lam and the tensor factors --w1/--w2/--lam1/--lam2 conflict")
@@ -236,7 +229,7 @@ def dot_from_graph_json(doc: str) -> str:
 
 
 def _cmd_crystal(args) -> tuple[str, int]:
-    lam = _resolve_lambda(args)
+    lam = _weight(args, "-w", "--lam")
     budget = _resolve_budget(args, lam)
     cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None
     doc = cache_get_or_build(lam, budget, cache_dir, node_cap=args.node_cap)
@@ -270,7 +263,7 @@ def _cmd_tensor(args) -> tuple[str, int]:
 def _cmd_branch(args) -> tuple[str, int]:
     from . import satake
 
-    lam = _resolve_lambda(args)
+    lam = _weight(args, "-w", "--lam")
     mu = _resolve_mu(args, lam)
     if not 0 <= args.i < lam.n:
         raise DomainError(f"-i must be a residue in 0..{lam.n - 1}, got {args.i}")
@@ -294,7 +287,7 @@ def _cmd_branch(args) -> tuple[str, int]:
 def _cmd_leaves(args) -> tuple[str, int]:
     from . import satake
 
-    lam = _resolve_lambda(args)
+    lam = _weight(args, "-w", "--lam")
     mu = _resolve_mu(args, lam)
     strata = satake.enumerate_leaves(lam, mu, include_empty=args.include_empty)
     return canonical_dumps({"strata": [s.to_json() for s in strata]}), EXIT_OK
@@ -317,7 +310,7 @@ def _cmd_fixed(args) -> tuple[str, int]:
 def _cmd_check(args) -> tuple[str, int]:
     from . import crystal, freudenthal
 
-    lam = _resolve_lambda(args)
+    lam = _weight(args, "-w", "--lam")
     budget = (args.depth,) * lam.n
     graph = crystal.generate_crystal(lam, budget, node_cap=args.node_cap)
     counts = graph.weight_counts()
@@ -348,11 +341,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _one_of(parser, *options, required=False) -> None:
-    """(flag, help) pairs of options that exclude each other."""
+def _one_of(parser, *options, required=False):
+    """(flag, help) pairs of options that exclude each other; returns their group."""
     group = parser.add_mutually_exclusive_group(required=required)
     for flag, text in options:
         group.add_argument(flag, help=text)
+    return group
 
 
 @functools.cache
@@ -384,10 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
             _one_of(sp, ("-v", "gauge dims, comma separated (defines mu)"),
                     ("--mu", "explicit mu as weight JSON"), required=True)
         if budget:
-            sp.add_argument("-v", help="lowering budget, comma separated, "
-                                       "when --budget and --depth are absent")
-            sp.add_argument("--budget", help="lowering budget, comma separated")
-            sp.add_argument("--depth", type=_int_arg, help="uniform budget shorthand")
+            group = _one_of(sp, ("-v", "lowering budget, comma separated (as --budget)"),
+                            ("--budget", "lowering budget, comma separated"))
+            group.add_argument("--depth", type=_int_arg, help="uniform budget shorthand")
         if node_cap:
             sp.add_argument("--node-cap", type=_node_cap_arg, default=DEFAULT_NODE_CAP,
                             help="abort generation beyond this many nodes")

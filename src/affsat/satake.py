@@ -17,7 +17,6 @@ from itertools import product
 
 from . import crystal
 from .cartan import DEFAULT_NODE_CAP, Weight, highest_pairings, lowering_vector
-from .errors import DomainError
 
 
 class Stratum(namedtuple("Stratum", "kappa k regular_locus_empty")):
@@ -71,12 +70,13 @@ def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> li
     0 <= c <= v, and k over partitions with |k| <= min_i c_i.  Strata whose
     regular locus is empty (total framing dimension 1 and kappa != mu) are
     kept only when include_empty is set.  Sorted by height of lambda - kappa,
-    then by the lowering vector, then by k.
+    then by the lowering vector, then by k.  Empty when mu is not below
+    lambda (v = lambda - mu is off the root lattice or has a negative entry).
     """
     highest_pairings(lam)
     v = lowering_vector(lam, mu)
     if v is None or any(x < 0 for x in v):
-        raise DomainError("mu must be lambda lowered by a nonnegative root-lattice vector")
+        return []
     level_one = lam.level == 1
     strata = []
     for c in product(*(range(x + 1) for x in v)):

@@ -210,6 +210,7 @@ def test_validation_errors(capsys, tmp_path):
         '{"n": 2, "w": [1, 0], "c": {"0": 0}}',
         '{"n": 2, "w": [1, 0]}',
         '[2, [1, 0], [0, 0]]',
+        "[" * 5000 + "]" * 5000,  # deeper than the JSON decoder recurses
     ]:
         code, out, err = run_cli(capsys, "mult", "--lam", lam, "-v", "0,0")
         assert (code, out) == (2, ""), lam
@@ -223,7 +224,7 @@ def test_validation_errors(capsys, tmp_path):
         ("crystal", "-n", "2", "-w", "+1,0", "--depth", "0"),
         ("mult", "-n", "2", "-w", "1,0", "-v", "1,\uff11"),
         # an empty budget is malformed, not absent
-        ("crystal", "-n", "2", "-w", "1,0", "--budget", "", "--depth", "1"),
+        ("crystal", "-n", "2", "-w", "1,0", "--budget", ""),
         ("crystal", "-n", "2", "-w", "1,0", "-v", ""),
     ]:
         code, out, err = run_cli(capsys, *argv)
@@ -279,7 +280,22 @@ def test_validation_errors(capsys, tmp_path):
         (("crystal", "-n", "3", "--lam", '{"n":2,"w":[1,0],"c":[0,0]}', "--depth", "1"),
          "-n goes with -w"),
         (("mult", "-n", "2", "--lam1", '{"n":2,"w":[1,0],"c":[0,0]}',
-          "--lam2", '{"n":2,"w":[0,1],"c":[0,0]}', "-v", "1,1"), "-n goes with --w1/--w2"),
+          "--lam2", '{"n":2,"w":[0,1],"c":[0,0]}', "-v", "1,1"), "-n goes with --w1"),
+        # each tensor factor is read as lambda is: half a pair, or a mixed pair, is refused
+        (("tensor", "--lam1", '{"n":2,"w":[1,0],"c":[0,0]}', "--depth", "1"),
+         "pass -n with --w2, or an explicit --lam2"),
+        (("mult", "-n", "2", "--w1", "1,0", "-v", "1,1"), "pass -n with --w2, or an explicit --lam2"),
+        (("fixed", "-n", "2", "--w1", "1,0", "--lam2", '{"n":2,"w":[0,1],"c":[0,0]}',
+          "-v", "1,1"), "-n goes with --w2, not --lam2"),
+        (("tensor", "--w1", "1,0", "--lam2", '{"n":2,"w":[0,1],"c":[0,0]}', "--depth", "1"),
+         "pass -n with --w1, or an explicit --lam1"),
+        # the budget, too, is given one way
+        *[((command, *operands, *first, *second), "not allowed with")
+          for command, operands in [("crystal", ("-n", "2", "-w", "1,0")),
+                                    ("tensor", ("-n", "2", "--w1", "1,0", "--w2", "0,1"))]
+          for first, second in [(("--budget", "1,1"), ("--depth", "5")),
+                                (("--budget", "1,1"), ("-v", "0,0")),
+                                (("--depth", "5"), ("-v", "0,0"))]],
         # what the parser requires
         (("mult", "-n", "2", "-w", "1,0"), "one of the arguments -v --mu is required"),
         (("branch", "-n", "2", "-w", "1,0", "-v", "2,2"), "required: -i"),
@@ -314,8 +330,8 @@ def test_parser_built_once():
 
 
 def test_v_help_names_its_role(capsys):
-    """-v defines mu where there is a mu, and is the budget fallback on crystal and tensor."""
-    budget_help = "lowering budget, comma separated, when --budget and --depth are absent"
+    """-v defines mu where there is a mu, and is the budget on crystal and tensor."""
+    budget_help = "lowering budget, comma separated (as --budget)"
     for command, want in [("crystal", budget_help), ("tensor", budget_help),
                           ("mult", "gauge dims, comma separated (defines mu)")]:
         with pytest.raises(SystemExit):
@@ -336,6 +352,22 @@ def test_mu_in_another_base(capsys):
     mu = '{"n":3,"w":[-1,2,0],"c":[0,0,0]}'
     assert run_cli(capsys, "mult", "--lam", lam, "--mu", mu)[:2] == (0, '{"multiplicity":0}\n')
 
+
+
+@pytest.mark.parametrize("mu", [
+    '{"n":2,"w":[1,0],"c":[-1,0]}',  # lambda + alpha_0, above lambda
+    '{"n":2,"w":[0,1],"c":[0,0]}',   # lambda - mu = Lambda_0 - Lambda_1, off the root lattice
+])
+@pytest.mark.parametrize("argv, empty", [
+    (("leaves",), '{"strata":[]}\n'),
+    (("branch", "-i", "0"), '{"table":[]}\n'),
+    (("mult",), '{"multiplicity":0}\n'),
+    (("fixed",), '{"attracting_component_count":0,"fixed_point_count":0}\n'),
+])
+def test_mu_not_below_lambda_answers_empty(capsys, argv, empty, mu):
+    """Every mu query answers a mu that is not below lambda with its empty result."""
+    code, out, err = run_cli(capsys, *argv, "--lam", '{"n":2,"w":[1,0],"c":[0,0]}', "--mu", mu)
+    assert (code, out, err) == (0, empty, "")
 
 def test_node_cap_must_be_positive(capsys):
     for cap in ("0", "-1"):
