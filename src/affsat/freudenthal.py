@@ -10,7 +10,9 @@ sum e_i <nu, h_i>, so the recursion
 
 runs entirely over Python ints.  Positive roots of A_{n-1}^(1) are the finite
 type-A roots shifted by multiples of the null root delta (multiplicity 1)
-together with the imaginary roots k delta (multiplicity n - 1).
+together with the imaginary roots k delta (multiplicity n - 1), so
+(alpha, alpha) is read off the root: 0 when its coefficients are all equal
+(k delta) and 2 otherwise.
 
 Multiplicities are invariant under the affine Weyl group W (Kac,
 Infinite-Dimensional Lie Algebras, §3.7), and at positive level every
@@ -25,17 +27,17 @@ The §3.12 reduction holds only at positive level, so lambda must be
 dominant of level >= 1 (cartan.highest_pairings, checked when lambda first
 reaches the memo); a level-0 lambda raises NoHighestWeightError.
 
-Results are memoized per (lambda, dominant nu) for the life of the process:
-at lambda = Lambda_0, n = 2, the query at lambda - d delta stores the d + 1
-weights lambda - k delta, k <= d.  Every entry is a deterministic function
-of its key, so concurrent callers can at worst compute one twice, and
-results do not depend on call order.
+Results are memoized per (lambda, dominant nu) for the life of the process,
+reductions only per evaluation: at lambda = Lambda_0, n = 2, the query at
+lambda - d delta stores the d + 1 weights lambda - k delta, k <= d.  Every
+entry is a deterministic function of its key, so concurrent callers can at
+worst compute one twice, and results do not depend on call order.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 from .cartan import (
     Weight,
@@ -86,31 +88,28 @@ def positive_roots(n: int, degree_bound: int) -> tuple[PositiveRoot, ...]:
 _memo: dict[Weight, tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
 
 
-def _terms(plam: tuple[int, ...], u: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+def _terms(plam: tuple[int, ...], u: tuple[int, ...], reduced) -> list[tuple[int, tuple[int, ...]]]:
     """The nonzero terms of the Freudenthal sum at mu = lam - u.alpha, as
     (coefficient, lowering vector of the dominant representative of mu + k alpha).
 
-    Terms with coefficient zero, or whose weight mu + k alpha is not a weight
-    of L(lam), are left out.
+    reduced(u2) is dominant_lowering(plam, u2), memoized by the caller for
+    one evaluation.  Terms with coefficient zero, or whose weight mu + k alpha
+    is not a weight of L(lam), are left out.
     """
     p = [x - y for x, y in zip(plam, cartan_apply(u))]  # <mu, h_i>
     terms = []
     for root in positive_roots(len(u), u[0]):
         e = root.coeffs
-        u2 = tuple([x - y for x, y in zip(u, e)])
-        if min(u2) < 0:
-            continue
-        # (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha), where
-        # (mu, alpha) = sum_i e_i <mu, h_i> and (alpha, alpha) = e^T C e
+        # (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha) with (mu, alpha)
+        # = sum_i e_i <mu, h_i>, for each k that keeps u - k e >= 0
         pairing = sum([x * y for x, y in zip(e, p)])
-        norm = sum([x * y for x, y in zip(e, cartan_apply(e))])
-        while min(u2) >= 0:
+        norm = 0 if min(e) == max(e) else 2
+        for k in range(1, min([x // y for x, y in zip(u, e) if y]) + 1):
             pairing += norm
             if pairing:
-                v = dominant_lowering(plam, u2)
+                v = reduced(tuple([x - k * y for x, y in zip(u, e)]))
                 if v is not None:
                     terms.append((root.multiplicity * pairing, v))
-            u2 = tuple([x - y for x, y in zip(u2, e)])
     return terms
 
 
@@ -142,6 +141,7 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
     """
     stack = [top]
     pending: dict[tuple[int, ...], list] = {}
+    reduced = cache(partial(dominant_lowering, plam))
     while stack:
         u = stack[-1]
         if u in memo:
@@ -149,7 +149,7 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
             continue
         terms = pending.get(u)
         if terms is None:
-            terms = pending[u] = _terms(plam, u)
+            terms = pending[u] = _terms(plam, u, reduced)
             missing = [v for _, v in terms if v not in memo]
             if missing:
                 stack.extend(missing)

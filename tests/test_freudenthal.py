@@ -130,6 +130,59 @@ def test_memo_holds_dominant_weights_only():
     assert all(lowered(lam, u).is_dominant() for u in memo)
 
 
+def test_each_weight_reduced_once_per_evaluation(monkeypatch):
+    calls = []
+    original = freudenthal.dominant_lowering
+
+    def recorder(plam, u):
+        calls.append((plam, u))
+        return original(plam, u)
+
+    monkeypatch.setattr(freudenthal, "dominant_lowering", recorder)
+    lam = Weight(3, (1, 0, 0), (5, 5, 5))  # Lambda_0 - 5 delta: a key no other test fills
+    assert freudenthal_multiplicity(lam, lowered(lam, (10, 10, 10))) == coloured_partitions(2, 10)
+    assert len(calls) > 100
+    assert len(set(calls)) == len(calls)
+
+
+# mult(lambda - d delta) for d = 0, 1, ..., at levels 2 and 3, recorded from
+# the recursion before the per-evaluation reduction memo; crystal_depth is the
+# largest d checked against a crystal graph (under 20k nodes).
+DEEP = [
+    (2, (2, 0), 14, (1, 1, 3, 5, 10, 16, 28, 43, 70, 105, 161, 236, 350, 501, 722, 1016,
+                     1431, 1981, 2741, 3740, 5096, 6868, 9233, 12306, 16357, 21581, 28394,
+                     37128, 48406, 62777, 81182)),
+    (2, (1, 1), 14, (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344, 504, 728, 1040, 1472,
+                     2062, 2864, 3948, 5400, 7336, 9904, 13288, 17728, 23528, 31066, 40824,
+                     53408, 69568, 90248, 116624)),
+    (3, (1, 1, 0), 7, (1, 4, 13, 36, 89, 204, 441, 908, 1798, 3444, 6410, 11636, 20663)),
+    (3, (2, 1, 0), 5, (1, 4, 16, 50, 143, 368, 892, 2035, 4448, 9334, 18968, 37410, 71953)),
+    (4, (1, 0, 1, 0), 5, (1, 7, 32, 117, 371, 1063, 2819, 7029, 16660)),
+]
+
+
+@pytest.mark.parametrize("n,w,crystal_depth,table", DEEP)
+def test_deep_multiplicities_above_level_one(n, w, crystal_depth, table):
+    # Each lambda - d delta and its conjugate s_1 s_0 of it, not dominant as
+    # w_0 > 0, have the pinned multiplicity, from Freudenthal and, while the
+    # graph is small, from the crystal.
+    lam = Weight(n, w, (0,) * n)
+    pairs = []
+    for d, want in enumerate(table):
+        mu = lowered(lam, (d,) * n)
+        conjugate = reflect(reflect(mu, 0), 1)
+        assert not conjugate.is_dominant()
+        assert freudenthal_multiplicity(lam, mu) == want, (n, w, d)
+        assert freudenthal_multiplicity(lam, conjugate) == want, (n, w, d)
+        if d <= crystal_depth:
+            pairs += [(lowering_vector(lam, mu), want), (lowering_vector(lam, conjugate), want)]
+    budget = tuple(max(col) for col in zip(*(v for v, _ in pairs)))
+    counts = generate_crystal(lam, budget).weight_counts()
+    assert sum(counts.values()) < 20000
+    for v, want in pairs:
+        assert counts[v] == want, (n, w, v)
+
+
 def test_far_below_the_weight_system():
     # Lambda_0 - 2000 alpha_1 reduces to no weight of L(Lambda_0).
     lam = fundamental_weight(2, 0)
