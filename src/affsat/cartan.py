@@ -337,6 +337,34 @@ def _reflect_to_dominant(p: list[int], c: list[int], floor: int | None = None) -
         p[(i + 1) % n] += x
 
 
+def weyl_orbit_lowerings(p: Sequence[int], budget: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(d, epsilon(w)) for each w(nu) = nu - d.alpha with d <= budget in the
+    Weyl orbit of the regular dominant nu with pairings p (all >= 1).
+
+    A breadth-first walk that only lowers: s_i lowers w(nu) where
+    <w(nu), h_i> > 0, and then length(s_i w) = length(w) + 1, so level k
+    holds the points of length k and epsilon alternates by level.  d only
+    grows, so the budget cut loses no point inside it.  The step copies
+    _reflect_to_dominant's: a shared call per step slows dominant_lowering.
+    """
+    n = len(p)
+    level = {(0,) * n: list(p)}
+    out = [((0,) * n, 1)]
+    while level:
+        below = {}
+        for d, q in level.items():
+            for i, x in enumerate(q):
+                if x > 0 and d[i] + x <= budget[i]:
+                    q2 = list(q)
+                    q2[i] = -x
+                    q2[i - 1] += x
+                    q2[(i + 1) % n] += x
+                    below.setdefault(d[:i] + (d[i] + x,) + d[i + 1 :], q2)
+        out += [(d, -out[-1][1]) for d in below]
+        level = below
+    return out
+
+
 def dominant_representative(mu: Weight) -> Weight:
     """The unique dominant weight in the affine Weyl group orbit of mu.
 

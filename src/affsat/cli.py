@@ -2,9 +2,10 @@
 
 One query, one document: every command writes exactly one JSON, DOT or TSV
 document to stdout and keeps diagnostics on stderr.  Exit codes: 0 success,
-2 validation error, 3 node-cap exceeded or out of memory, 1 internal
-inconsistency (should not happen; it means the two multiplicity routes
-disagreed).
+2 validation error, 3 node-cap exceeded (crystal and check, which build a
+graph; mult, fixed, branch and tensor answer by Freudenthal and the Weyl
+group) or out of memory, 1 internal inconsistency (check's two routes
+disagreed, or a multiplicity failed a consistency check).
 
 The parser is the contract: each subcommand binds its handler and declares
 exactly the options the handler reads.  Each input is given one way.
@@ -241,9 +242,9 @@ def _cmd_mult(args) -> tuple[str, int]:
 
     lam1, lam2, mu = _operands(args)
     if lam2 is None:
-        m = crystal.weight_multiplicity(lam1, mu, node_cap=args.node_cap)
+        m = crystal.weight_multiplicity(lam1, mu)
     else:
-        m = crystal.tensor_weight_multiplicity(lam1, lam2, mu, node_cap=args.node_cap)
+        m = crystal.tensor_weight_multiplicity(lam1, lam2, mu)
     return canonical_dumps({"multiplicity": m}), EXIT_OK
 
 
@@ -252,7 +253,7 @@ def _cmd_tensor(args) -> tuple[str, int]:
 
     lam1, lam2 = _tensor_pair(args)
     budget = _resolve_budget(args, lam1)
-    hw = crystal.tensor_highest_weights(lam1, lam2, budget, node_cap=args.node_cap)
+    hw = crystal.tensor_highest_weights(lam1, lam2, budget)
     items = sorted(hw.items(), key=lambda kv: (sum(kv[0].c), kv[0].c))
     doc = canonical_dumps({
         "highest_weights": [{"kappa": k.to_json(), "multiplicity": m} for k, m in items],
@@ -267,7 +268,7 @@ def _cmd_branch(args) -> tuple[str, int]:
     mu = _resolve_mu(args, lam)
     if not 0 <= args.i < lam.n:
         raise DomainError(f"-i must be a residue in 0..{lam.n - 1}, got {args.i}")
-    rows = satake.sheaf_multiplicity_table(lam, mu, args.i, node_cap=args.node_cap)
+    rows = satake.sheaf_multiplicity_table(lam, mu, args.i)
     if args.format == "tsv":
         out = ["k\tkappa_prime\tpairing\tmultiplicity"]
         for row in rows:
@@ -298,10 +299,10 @@ def _cmd_fixed(args) -> tuple[str, int]:
 
     lam1, lam2, mu = _operands(args)
     if lam2 is None:
-        count = satake.attracting_component_count(lam1, mu, node_cap=args.node_cap)
+        count = satake.attracting_component_count(lam1, mu)
         doc = {"fixed_point_count": 1 if count > 0 else 0, "attracting_component_count": count}
     else:
-        splittings = satake.tensor_fixed_points(lam1, lam2, mu, node_cap=args.node_cap)
+        splittings = satake.tensor_fixed_points(lam1, lam2, mu)
         doc = {"count": len(splittings),
                "splittings": [{"mu1": a.to_json(), "mu2": b.to_json()} for a, b in splittings]}
     return canonical_dumps(doc), EXIT_OK
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, about, *, lam=True, mu=False, tensor=False, budget=False,
-                node_cap=True):
+                node_cap=False):
         sp = sub.add_parser(name, help=about, allow_abbrev=False)
         sp.set_defaults(handler=handler)
         sp.add_argument("-n", type=_int_arg, help="rank (number of residues) of framing dims, >= 2")
@@ -386,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="abort generation beyond this many nodes")
         return sp
 
-    sp = command("crystal", _cmd_crystal, "truncated crystal graph of lambda", budget=True)
+    sp = command("crystal", _cmd_crystal, "truncated crystal graph of lambda", budget=True,
+                 node_cap=True)
     sp.add_argument("--format", choices=("json", "dot"), default="json", help="output format")
     sp.add_argument("--cache-dir", help=f"graph cache directory (default ${ENV_CACHE_DIR})")
     command("mult", _cmd_mult, "weight multiplicity (tensor variant via --w1/--w2)",
@@ -396,13 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("branch", _cmd_branch, "rank-1 branching table at residue i", mu=True)
     sp.add_argument("-i", type=_int_arg, required=True, help="residue index in 0..n-1")
     sp.add_argument("--format", choices=("json", "tsv"), default="json", help="output format")
-    sp = command("leaves", _cmd_leaves, "symplectic-leaf stratum labels", mu=True,
-                 node_cap=False)
+    sp = command("leaves", _cmd_leaves, "symplectic-leaf stratum labels", mu=True)
     sp.add_argument("--include-empty", action="store_true",
                     help="keep strata whose regular locus is empty")
     command("fixed", _cmd_fixed, "fixed point and attracting-component counts",
             mu=True, tensor=True)
-    sp = command("check", _cmd_check, "compare the crystal engine against Freudenthal")
+    sp = command("check", _cmd_check, "compare the crystal engine against Freudenthal",
+                 node_cap=True)
     sp.add_argument("--depth", type=_int_arg, required=True, help="uniform budget")
     return parser
 

@@ -17,8 +17,7 @@ the breadth-first closure under all f_i within a componentwise budget misses
 nothing at the weights it covers.  Results are a deterministic function of
 (lambda, budget), and a finished graph is immutable for all practical
 purposes.  The signature rule runs only where a word is lowered or raised;
-Levi branching and tensor decomposition read eps_i off the i-edges of a
-finished graph (CrystalGraph.eps).
+a finished graph reads eps_i off its i-edges (CrystalGraph.eps).
 
 Generation works on words of factor ids: each graph owns one
 kernels.FactorTable, which interns every (charge, parts) factor once, stores
@@ -32,10 +31,12 @@ The cyclic collector is paused for the BFS, which allocates nothing it
 could free, and the caller's setting restored after.  (charge, parts) words
 are materialized only at the API edge (CrystalGraph.words, node()).
 
-Tensor products follow the tensor-product rule: b1.b2 is killed by every e_i
-exactly when b1 is the highest-weight word of B(lambda1) and
-eps_i(b2) <= <lambda1, h_i> for every i.  Decomposition is therefore one pass
-over the truncated B(lambda2), the only graph built, which node_cap bounds.
+The multiplicity queries build no graph: weight multiplicities and tensor
+splittings are Freudenthal multiplicities, Levi branching their sl2 string
+differences, and tensor decomposition the affine Racah-Speiser sum.  Tier-1
+holds them to the graph routes they replaced (node counts, e_i-killed
+nodes, the tensor-product rule over B(lambda2)); `affsat check` holds the
+node counts to Freudenthal.
 """
 
 from __future__ import annotations
@@ -47,15 +48,18 @@ from collections.abc import Mapping
 from functools import cached_property
 from itertools import product
 
+from . import freudenthal
 from ._backend import kernels
 from .cartan import (
     CONVENTION_ID,
     DEFAULT_NODE_CAP,
     Weight,
     canonical_dumps,
+    cartan_apply,
     highest_pairings,
     is_weight_of,
     lowering_vector,
+    weyl_orbit_lowerings,
 )
 from .errors import ConsistencyError, DomainError
 from .fock import ChargedPartition
@@ -218,12 +222,6 @@ class CrystalGraph:
                 eps[b] = eps[a] + 1
         return eps
 
-    def singular_node_ids(self, i: int | None = None) -> list[int]:
-        """Nodes killed by e_i (or by every e_j when i is None)."""
-        residues = range(self.n) if i is None else (i,)
-        eps = [self.eps(j) for j in residues]
-        return [node_id for node_id, e in enumerate(zip(*eps)) if not any(e)]
-
     # -- canonical serialization ------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -338,84 +336,79 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
     return CrystalGraph(lam, budget, table, words, cvecs, slots)
 
 
-def weight_multiplicity(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE_CAP) -> int:
+def weight_multiplicity(lam: Weight, mu: Weight) -> int:
     """dim of the mu weight space of the highest-weight module for lambda.
 
-    Counts crystal nodes of weight mu in the graph truncated exactly at the
-    lowering vector of mu.  Zero with no graph when mu is not a weight of
-    L(lambda) at all (cartan.is_weight_of), which covers every mu not below
-    lambda.
+    The Freudenthal multiplicity, with no graph; tier-1 and `affsat check`
+    hold it to the crystal's node count at mu.
     """
-    if not is_weight_of(lam, mu):
-        return 0
-    u = lowering_vector(lam, mu)
-    graph = generate_crystal(lam, u, node_cap=node_cap)
-    return graph.weight_counts().get(u, 0)
+    return freudenthal.freudenthal_multiplicity(lam, mu)
 
 
-def levi_branching(lam: Weight, mu: Weight, i: int, *,
-                   node_cap: int = DEFAULT_NODE_CAP) -> dict[int, int]:
+def levi_branching(lam: Weight, mu: Weight, i: int) -> dict[int, int]:
     """Multiplicities of the rank-1 restriction at node i.
 
-    m_k counts nodes of weight mu + k alpha_i killed by e_i.  The same table
-    is recomputed from weight multiplicities via string counting
-    (m_k = max(0, mult(mu + k alpha_i) - mult(mu + (k+1) alpha_i))) and the
-    two routes must agree; disagreement raises ConsistencyError.
+    m_k, the sl2 highest-weight vectors at node i of weight mu + k alpha_i,
+    is the string difference mult(mu + k alpha_i) - mult(mu + (k+1) alpha_i)
+    of Freudenthal multiplicities where <mu + k alpha_i, h_i> >= 0, and 0
+    elsewhere.  A negative difference raises ConsistencyError.
     """
     highest_pairings(lam)
     i %= lam.n
     u = lowering_vector(lam, mu)
     if u is None or any(x < 0 for x in u):
         return {}
-    graph = generate_crystal(lam, u, node_cap=node_cap)
-    counts = graph.weight_counts()
-
-    highest = Counter(u[i] - c[i] for c, e in zip(graph.cvecs, graph.eps(i))
-                      if e == 0 and c[:i] == u[:i] and c[i + 1 :] == u[i + 1 :])
-
-    for k in range(u[i] + 1):
-        at_k = counts.get(u[:i] + (u[i] - k,) + u[i + 1 :], 0)
-        above = counts.get(u[:i] + (u[i] - k - 1,) + u[i + 1 :], 0) if k < u[i] else 0
-        expected = max(0, at_k - above)
-        if highest[k] != expected:
-            raise ConsistencyError(
-                f"branching routes disagree at k={k}: highest-node count "
-                f"{highest[k]} vs string difference {expected}"
-            )
-    return {k: m for k, m in sorted(highest.items()) if m > 0}
+    table = {}
+    above = 0
+    pairing = mu.pairing(i)
+    for k in range(u[i], -1, -1):
+        if pairing + 2 * k < 0:
+            break
+        at = freudenthal.freudenthal_multiplicity(lam, mu.plus_alpha(i, k))
+        if at < above:
+            raise ConsistencyError(f"sl2 string at node {i} shrinks at k={k}: {at} < {above}")
+        if at > above:
+            table[k] = at - above
+        above = at
+    return dict(sorted(table.items()))
 
 
 # -- tensor products -------------------------------------------------------
 
 
-def tensor_highest_weights(lam1: Weight, lam2: Weight, budget, *,
-                           node_cap: int = DEFAULT_NODE_CAP) -> dict[Weight, int]:
+def tensor_highest_weights(lam1: Weight, lam2: Weight, budget) -> dict[Weight, int]:
     """Decomposition multiplicities of lam1 (x) lam2 within a truncation.
 
-    By the tensor-product rule (Kashiwara, Duke Math. J. 63, 1991), b1.b2 is
-    killed by every e_i exactly when b1 is the highest-weight word of B(lam1)
-    and eps_i(b2) <= phi_i(b1) = <lam1, h_i> for every i.  So this is one
-    pass over B(lam2) truncated at the budget, the only graph built and the
-    one node_cap bounds, reading eps_i(b2) off that graph's i-edges.
+    The affine Racah-Speiser form of the Weyl-Kac character formula (Kac,
+    §10.4) at a dominant kappa = lam1 + lam2 - c.alpha, with Freudenthal
+    multiplicities: m_kappa = sum_w epsilon(w) mult_lam2(lam2 - (c - d_w).alpha)
+    over w(lam1 + rho) = lam1 + rho - d_w.alpha.  A term needs d_w <= c, so
+    the orbit points within the budget give every term: exact at every kappa
+    inside the budget.
     """
-    bound = highest_pairings(lam1)
-    highest_pairings(lam2)
+    plam1 = highest_pairings(lam1)
+    ptop = [a + b for a, b in zip(plam1, highest_pairings(lam2))]
     base = lam1 + lam2
-    graph = generate_crystal(lam2, budget, node_cap=node_cap)
-    eps = [graph.eps(i) for i in range(lam1.n)]
-    counts = Counter(c for c, *e in zip(graph.cvecs, *eps)
-                     if all(x <= b for x, b in zip(e, bound)))
-    return {base.lowered(c): m for c, m in counts.items()}
+    budget = _validate_budget(lam1.n, budget)
+    orbit = weyl_orbit_lowerings([x + 1 for x in plam1], budget)
+    mult = freudenthal.freudenthal_multiplicity
+    out = {}
+    for c in product(*(range(b + 1) for b in budget)):
+        if min([a - b for a, b in zip(ptop, cartan_apply(c))]) >= 0:
+            m = sum([sign * mult(lam2, lam2.lowered([x - y for x, y in zip(c, d)]))
+                     for d, sign in orbit if all(x <= y for x, y in zip(d, c))])
+            if m:
+                out[base.lowered(c)] = m
+    return out
 
 
-def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight, *,
-                      node_cap: int = DEFAULT_NODE_CAP) -> list[tuple[tuple, tuple, int, int]]:
+def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight) -> list[tuple[tuple, tuple, int, int]]:
     """Splittings s + rest = u of the lowering vector u of mu below
     lam1 + lam2 with both factor multiplicities nonzero.
 
-    Returns (s, rest, mult1(s), mult2(rest)) in lexicographic order of s;
-    empty, with no graph built, when mu is not below lam1 + lam2 or is not
-    a weight of L(lam1 + lam2), whose weights a tensor product shares.
+    Returns (s, rest, mult1(s), mult2(rest)) in lexicographic order of s,
+    Freudenthal multiplicities; empty when mu is not below lam1 + lam2 or
+    is not a weight of L(lam1 + lam2), whose weights a tensor product shares.
     """
     highest_pairings(lam1)
     highest_pairings(lam2)
@@ -423,21 +416,19 @@ def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight, *,
     if not is_weight_of(base, mu):
         return []
     u = lowering_vector(base, mu)
-    counts1 = generate_crystal(lam1, u, node_cap=node_cap).weight_counts()
-    counts2 = generate_crystal(lam2, u, node_cap=node_cap).weight_counts()
+    mult = freudenthal.freudenthal_multiplicity
     out = []
     for s in product(*(range(x + 1) for x in u)):
-        m1 = counts1.get(s, 0)
+        m1 = mult(lam1, lam1.lowered(s))
         if m1:
-            rest = tuple(a - b for a, b in zip(u, s))
-            m2 = counts2.get(rest, 0)
+            rest = tuple([a - b for a, b in zip(u, s)])
+            m2 = mult(lam2, lam2.lowered(rest))
             if m2:
                 out.append((s, rest, m1, m2))
     return out
 
 
-def tensor_weight_multiplicity(lam1: Weight, lam2: Weight, mu: Weight, *,
-                               node_cap: int = DEFAULT_NODE_CAP) -> int:
+def tensor_weight_multiplicity(lam1: Weight, lam2: Weight, mu: Weight) -> int:
     """Weight multiplicity in the tensor product, as a sum over splittings
     mu = mu1 + mu2 of products of factor multiplicities."""
-    return sum(m1 * m2 for _, _, m1, m2 in tensor_splittings(lam1, lam2, mu, node_cap=node_cap))
+    return sum(m1 * m2 for _, _, m1, m2 in tensor_splittings(lam1, lam2, mu))

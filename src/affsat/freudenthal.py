@@ -1,5 +1,6 @@
-"""Weight multiplicities via the Freudenthal recursion, as an oracle
-independent of the crystal engine.
+"""Weight multiplicities via the Freudenthal recursion: the route mult, fixed,
+branch and tensor answer by, independent of the crystal engine that `check`
+and tier-1 hold it to.
 
 Everything reduces to Cartan pairings: with the invariant form normalized so
 that (alpha_i, alpha_i) = 2, any pairing (nu, sum e_i alpha_i) equals

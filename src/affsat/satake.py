@@ -2,12 +2,13 @@
 stratum labels and tensor fixed-point splittings for the affine type-A
 dictionary between weight data and gauge-theory dimension vectors.
 
-Every operation here is a thin combinatorial layer over the crystal engine:
+Every operation here is a thin combinatorial layer over the multiplicity
+queries of affsat.crystal, which answer by Freudenthal with no graph:
 a fixed point exists iff the weight space is nonzero, attracting components
 are counted by the weight multiplicity, leaves are labelled by a dominant
 weight kappa between mu and lambda - |k| delta together with a partition k,
 and tensor fixed points are the weight splittings with nonzero factors.
-Pure functions; determinism is owned by affsat.crystal.
+Tier-1 holds these counts to crystal node counts.  Pure functions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import namedtuple
 from itertools import product
 
 from . import crystal
-from .cartan import DEFAULT_NODE_CAP, Weight, highest_pairings, lowering_vector
+from .cartan import Weight, cartan_apply, highest_pairings, lowering_vector
 
 
 class Stratum(namedtuple("Stratum", "kappa k regular_locus_empty")):
@@ -51,16 +52,15 @@ def _partitions_of(size: int):
     return sorted(out)
 
 
-def fixed_point_count(lam: Weight, mu: Weight, *, node_cap: int = DEFAULT_NODE_CAP) -> int:
+def fixed_point_count(lam: Weight, mu: Weight) -> int:
     """1 when mu is a weight of the module for lambda, else 0."""
-    return 1 if crystal.weight_multiplicity(lam, mu, node_cap=node_cap) > 0 else 0
+    return 1 if crystal.weight_multiplicity(lam, mu) > 0 else 0
 
 
-def attracting_component_count(lam: Weight, mu: Weight, *,
-                               node_cap: int = DEFAULT_NODE_CAP) -> int:
+def attracting_component_count(lam: Weight, mu: Weight) -> int:
     """Number of attracting-set components over the fixed point: the weight
     multiplicity."""
-    return crystal.weight_multiplicity(lam, mu, node_cap=node_cap)
+    return crystal.weight_multiplicity(lam, mu)
 
 
 def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> list[Stratum]:
@@ -73,19 +73,19 @@ def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> li
     then by the lowering vector, then by k.  Empty when mu is not below
     lambda (v = lambda - mu is off the root lattice or has a negative entry).
     """
-    highest_pairings(lam)
+    plam = highest_pairings(lam)
     v = lowering_vector(lam, mu)
     if v is None or any(x < 0 for x in v):
         return []
     level_one = lam.level == 1
     strata = []
     for c in product(*(range(x + 1) for x in v)):
-        kappa = lam.lowered(c)
-        if not kappa.is_dominant():
+        if min([a - b for a, b in zip(plam, cartan_apply(c))]) < 0:
             continue
-        empty_flag = level_one and c != tuple(v)
+        empty_flag = level_one and c != v
         if empty_flag and not include_empty:
             continue
+        kappa = lam.lowered(c)
         for size in range(min(c) + 1):
             for k in _partitions_of(size):
                 strata.append((sum(c), c, k, Stratum(kappa, k, empty_flag)))
@@ -93,31 +93,29 @@ def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> li
     return [item[3] for item in strata]
 
 
-def tensor_fixed_points(lam1: Weight, lam2: Weight, mu: Weight, *,
-                        node_cap: int = DEFAULT_NODE_CAP) -> list[tuple[Weight, Weight]]:
+def tensor_fixed_points(lam1: Weight, lam2: Weight, mu: Weight) -> list[tuple[Weight, Weight]]:
     """Splittings mu = mu1 + mu2 with both factor multiplicities nonzero.
 
     Nonempty exactly when mu is a weight of the tensor product.  Sorted by
     the lowering vector of mu1.
     """
     return [(lam1.lowered(s), lam2.lowered(rest))
-            for s, rest, _, _ in crystal.tensor_splittings(lam1, lam2, mu, node_cap=node_cap)]
+            for s, rest, _, _ in crystal.tensor_splittings(lam1, lam2, mu)]
 
 
 # One row of the rank-1 multiplicity table at stratum weight kappa'.
 BranchRow = namedtuple("BranchRow", "k kappa_prime pairing multiplicity")
 
 
-def sheaf_multiplicity_table(lam: Weight, mu: Weight, i: int, *,
-                             node_cap: int = DEFAULT_NODE_CAP) -> list[BranchRow]:
+def sheaf_multiplicity_table(lam: Weight, mu: Weight, i: int) -> list[BranchRow]:
     """Levi branching of (lam, mu) at node i, rows labelled by
     kappa' = mu + k alpha_i with the rank-1 weight <kappa', h_i>.
 
-    Tables at mu and mu - alpha_i agree at common kappa' (both count the same
-    e_i-killed nodes); that stability is exercised by the test suite.
+    Tables at mu and mu - alpha_i agree at common kappa' (the same sl2
+    highest-weight vectors); that stability is exercised by the test suite.
     """
     i %= lam.n
-    table = crystal.levi_branching(lam, mu, i, node_cap=node_cap)
+    table = crystal.levi_branching(lam, mu, i)
     rows = []
     for k in sorted(table):
         kappa_prime = mu.plus_alpha(i, k)

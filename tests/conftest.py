@@ -1,6 +1,7 @@
 import itertools
+from collections import Counter
 
-from affsat import Weight
+from affsat import Weight, generate_crystal, lowering_vector
 
 
 def all_partitions(max_cells):
@@ -46,3 +47,46 @@ def coloured_partitions(colours, d):
             for t in range(m, d + 1):
                 p[t] += p[t - m]
     return p[d]
+
+
+# Crystal-graph routes to the numbers that mult, fixed and branch answer by
+# Freudenthal; tests hold the library answers to them.
+
+
+def graph_multiplicity(lam, mu):
+    """mult(mu) as the node count at mu of the crystal truncated at mu."""
+    u = lowering_vector(lam, mu)
+    if u is None or min(u) < 0:
+        return 0
+    return generate_crystal(lam, u).weight_counts().get(u, 0)
+
+
+def graph_splittings(lam1, lam2, mu):
+    """(s, rest, mult1(s), mult2(rest)) for the splittings s + rest = u of the
+    lowering vector u of mu below lam1 + lam2, both factors nonzero, from
+    the node counts of both factor crystals truncated at u."""
+    u = lowering_vector(lam1 + lam2, mu)
+    if u is None or min(u) < 0:
+        return []
+    counts1 = generate_crystal(lam1, u).weight_counts()
+    counts2 = generate_crystal(lam2, u).weight_counts()
+    out = []
+    for s in itertools.product(*(range(x + 1) for x in u)):
+        rest = tuple(a - b for a, b in zip(u, s))
+        m1, m2 = counts1.get(s, 0), counts2.get(rest, 0)
+        if m1 and m2:
+            out.append((s, rest, m1, m2))
+    return out
+
+
+def graph_branching(lam, mu, i):
+    """Levi branching at node i read off the crystal truncated at mu: m_k
+    counts the nodes of weight mu + k alpha_i that e_i kills."""
+    i %= lam.n
+    u = lowering_vector(lam, mu)
+    if u is None or min(u) < 0:
+        return {}
+    graph = generate_crystal(lam, u)
+    highest = Counter(u[i] - c[i] for c, e in zip(graph.cvecs, graph.eps(i))
+                      if e == 0 and c[:i] == u[:i] and c[i + 1 :] == u[i + 1 :])
+    return dict(sorted(highest.items()))

@@ -21,13 +21,12 @@ from affsat import (
     levi_branching,
     tensor_highest_weights,
     tensor_weight_multiplicity,
-    weight_multiplicity,
 )
 from affsat import _kernels_py as kernels
 from affsat.cli import main as cli_main
 from affsat.crystal import _scan_word, _word_raise
 
-from conftest import dominant_bases, lowered
+from conftest import dominant_bases, graph_multiplicity, graph_splittings, lowered
 
 
 def _report(num, name, ok):
@@ -84,13 +83,8 @@ def test_criterion_3_figure_regression():
         u = (0,) + (1,) * (n - 1)
         mu = lowered(l1 + l2, u)
         got = tensor_weight_multiplicity(l1, l2, mu)
-        # independent route: splitting sum over Freudenthal multiplicities
-        oracle = 0
-        for s in itertools.product(*(range(x + 1) for x in u)):
-            rest = tuple(a - b for a, b in zip(u, s))
-            oracle += freudenthal_multiplicity(l1, lowered(l1, s)) * freudenthal_multiplicity(
-                l2, lowered(l2, rest)
-            )
+        # independent route: splitting sum over crystal node counts
+        oracle = sum(m1 * m2 for _, _, m1, m2 in graph_splittings(l1, l2, mu))
         results[n] = (got, oracle)
     elapsed = time.monotonic() - t0
     ok = all(results[n] == (n, n) for n in (3, 4, 5)) and elapsed < 10.0
@@ -158,7 +152,7 @@ def test_criterion_6_branch_sum_rule_and_stability():
         for lam in dominant_bases(n, 2)[: 4 if n == 2 else 5]:
             for u in itertools.product(range(3), repeat=n):
                 mu = lowered(lam, u)
-                mult_mu = weight_multiplicity(lam, mu)
+                mult_mu = graph_multiplicity(lam, mu)
                 for i in range(n):
                     table = levi_branching(lam, mu, i)
                     if mu.pairing(i) >= 0 and sum(table.values()) != mult_mu:

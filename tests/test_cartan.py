@@ -29,7 +29,8 @@ from affsat import (
     weight_invariants,
     weights_from_dims,
 )
-from affsat.cartan import _solve_base_shift, cartan_apply
+from affsat.cartan import _solve_base_shift, cartan_apply, weyl_orbit_lowerings
+from affsat.freudenthal import positive_roots
 
 from conftest import dominant_bases, lowered
 
@@ -373,3 +374,28 @@ def test_is_weight_of_examples():
     for bad in (Weight(2, (1, 0), (1, 0)), Weight(2, (0, 0), (0, 0))):
         with pytest.raises(DomainError):
             is_weight_of(bad, bad)
+
+
+@pytest.mark.parametrize("budget", [
+    (6, 6), (6, 2), (0, 5),
+    (5, 5, 5), (6, 2, 4), (3, 0, 3),
+    (4, 4, 4, 4), (6, 3, 5, 2),
+])
+def test_weyl_orbit_walk_is_the_denominator(budget):
+    # Weyl-Kac denominator identity, truncated at the budget:
+    # sum_w epsilon(w) e^{-d_w} = prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha},
+    # with w(rho) = rho - d_w; it pins the signs and the d_w <= budget cut
+    n = len(budget)
+    product = {(0,) * n: 1}
+    for root in positive_roots(n, budget[0]):
+        if any(e > b for e, b in zip(root.coeffs, budget)):
+            continue
+        for _ in range(root.multiplicity):
+            for d, coef in list(product.items()):
+                d2 = tuple(a + e for a, e in zip(d, root.coeffs))
+                if all(x <= b for x, b in zip(d2, budget)):
+                    product[d2] = product.get(d2, 0) - coef
+    expected = {d: coef for d, coef in product.items() if coef}
+    walk = weyl_orbit_lowerings((1,) * n, budget)
+    assert len({d for d, _ in walk}) == len(walk)
+    assert dict(walk) == expected

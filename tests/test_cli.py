@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affsat import Weight
 from affsat.cli import build_parser, main
+
+from conftest import coloured_partitions, graph_branching
 
 # `python -m affsat` in a child interpreter, importing this checkout's src/
 # whether or not the package is installed.
@@ -255,8 +259,13 @@ def test_validation_errors(capsys, tmp_path):
         (("crystal", "-n", "2", "-w", "1,0", "--depth", "1", "--mu", "garbage"), "unrecognized"),
         (("tensor", "-n", "3", "--w1", "0,1,0", "--w2", "0,0,1", "-v", "0,1,1",
           "--mu", "garbage"), "unrecognized"),
-        # leaves builds no crystal, so it has no node cap
-        (("leaves", "-n", "2", "-w", "1,0", "-v", "1,1", "--node-cap", "5"), "unrecognized"),
+        # only crystal and check build a crystal, so only they have a node cap
+        *[((command, "-n", "2", "-w", "1,0", "-v", "1,1", *extra, "--node-cap", "5"),
+           "unrecognized arguments: --node-cap")
+          for command, extra in [("leaves", ()), ("mult", ()), ("fixed", ()),
+                                 ("branch", ("-i", "0"))]],
+        (("tensor", "-n", "2", "--w1", "1,0", "--w2", "0,1", "--depth", "1", "--node-cap", "5"),
+         "unrecognized arguments: --node-cap"),
         # Each form below was accepted with part of it never read.
         # tensor reads no lambda: -w and --lam are not its options
         (("tensor", "-n", "2", "-w", "9,9", "--lam", "garbage", "--w1", "1,0", "--w2", "0,1",
@@ -396,39 +405,68 @@ def test_resource_cap_exit(capsys):
     assert "node cap" in err
 
 
-def test_mult_off_the_weight_lattice_builds_no_graph(capsys, monkeypatch):
+def _count_graph_builds(monkeypatch):
+    """A list that grows by one per BFS level any crystal build expands."""
     from affsat._backend import kernels
 
     calls = []
     expand_level = kernels.expand_level
     monkeypatch.setattr(kernels, "expand_level",
                         lambda *args: calls.append(1) or expand_level(*args))
-    argv = ("mult", "-n", "2", "-w", "1,0", "-v", "30,20")
-    for extra in [(), ("--node-cap", "100")]:
-        assert run_cli(capsys, *argv, *extra) == (0, '{"multiplicity":0}\n', ""), extra
+    return calls
+
+
+def _level_one_multiplicity(j, c):
+    """mult(Lambda_j - c.alpha) at n = 2 by Frenkel-Kac: p(d) for the depth
+    d = c_j - (c_0 - c_1)^2, and 0 when d < 0."""
+    return coloured_partitions(1, c[j] - (c[0] - c[1]) ** 2)
+
+
+def test_mult_answers_without_a_graph(capsys, monkeypatch):
+    # mult and fixed answer by Freudenthal, off the weight lattice and deep
+    # below lambda, and build no crystal
+    calls = _count_graph_builds(monkeypatch)
+    lam = ("-n", "2", "-w", "1,0")
+    assert run_cli(capsys, "mult", *lam, "-v", "30,20") == (0, '{"multiplicity":0}\n', "")
+    deep = _level_one_multiplicity(0, (30, 30))
+    assert deep == 5604
+    assert run_cli(capsys, "mult", *lam, "-v", "30,30") == (
+        0, f'{{"multiplicity":{deep}}}\n', "")
+    assert run_cli(capsys, "fixed", *lam, "-v", "30,30") == (
+        0, f'{{"attracting_component_count":{deep},"fixed_point_count":1}}\n', "")
     assert calls == []
-    # a weight still counts in its graph, under the same cap
-    code, _, err = run_cli(capsys, "mult", "-n", "2", "-w", "1,0", "-v", "30,30",
-                           "--node-cap", "100")
-    assert code == 3 and "node cap of 100" in err
 
 
-def test_tensor_off_the_weight_lattice_builds_no_graph(capsys, monkeypatch):
-    from affsat._backend import kernels
-
-    calls = []
-    expand_level = kernels.expand_level
-    monkeypatch.setattr(kernels, "expand_level",
-                        lambda *args: calls.append(1) or expand_level(*args))
-    pair = ("-n", "2", "--w1", "1,0", "--w2", "0,1", "--node-cap", "100")
+def test_tensor_forms_answer_without_a_graph(capsys, monkeypatch):
+    # the tensor forms of mult and fixed sum Freudenthal multiplicities over
+    # splittings, and tensor runs the Racah-Speiser sum: no crystal either way
+    calls = _count_graph_builds(monkeypatch)
+    pair = ("-n", "2", "--w1", "1,0", "--w2", "0,1")
     assert run_cli(capsys, "mult", *pair, "-v", "30,20") == (0, '{"multiplicity":0}\n', "")
     assert run_cli(capsys, "fixed", *pair, "-v", "30,20") == (
         0, '{"count":0,"splittings":[]}\n', "")
+    u = (12, 12)
+    terms = [_level_one_multiplicity(0, s) * _level_one_multiplicity(1, (u[0] - s[0], u[1] - s[1]))
+             for s in itertools.product(range(u[0] + 1), range(u[1] + 1))]
+    code, out, _ = run_cli(capsys, "mult", *pair, "-v", "12,12")
+    assert (code, json.loads(out)) == (0, {"multiplicity": sum(terms)})
+    code, out, _ = run_cli(capsys, "fixed", *pair, "-v", "12,12")
+    assert (code, json.loads(out)["count"]) == (0, sum(map(bool, terms)))
+    code, out, _ = run_cli(capsys, "tensor", *pair, "--depth", "12")
+    assert code == 0 and len(json.loads(out)["highest_weights"]) > 10
     assert calls == []
-    # a weight of L(lam1 + lam2) still builds its factor graphs, under the same cap
-    for command in ("mult", "fixed"):
-        code, _, err = run_cli(capsys, command, *pair, "-v", "30,30")
-        assert code == 3 and "node cap of 100" in err
+
+
+def test_branch_answers_without_a_graph(capsys, monkeypatch):
+    # branch takes string differences of Freudenthal multiplicities; it
+    # equals the count of e_i-killed crystal nodes (built before counting)
+    lam = Weight(3, (1, 1, 0), (0, 0, 0))
+    table = graph_branching(lam, lam.lowered((3, 3, 3)), 1)
+    calls = _count_graph_builds(monkeypatch)
+    code, out, _ = run_cli(capsys, "branch", "-n", "3", "-w", "1,1,0", "-v", "3,3,3", "-i", "1")
+    assert code == 0
+    assert {row["k"]: row["multiplicity"] for row in json.loads(out)["table"]} == table
+    assert calls == []
 
 
 def test_memory_error_exit(capsys, monkeypatch):
@@ -440,15 +478,6 @@ def test_memory_error_exit(capsys, monkeypatch):
     monkeypatch.setattr(crystal, "generate_crystal", exhausted)
     assert run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "2") == (
         3, "", "affsat: out of memory\n")
-
-
-def test_branch_honours_node_cap(capsys):
-    # branch used to build its crystal past the cap that mult stops at
-    for argv in [("mult",), ("branch", "-i", "1")]:
-        code, out, err = run_cli(capsys, *argv, "-n", "3", "-w", "1,1,0", "-v", "3,3,3",
-                                 "--node-cap", "2")
-        assert (code, out) == (3, ""), argv
-        assert len(err.splitlines()) == 1 and "node cap of 2" in err, argv
 
 
 def test_cache_round_trip(tmp_path, capsys):
@@ -635,11 +664,11 @@ def _argv(n: int, cache_dir: str):
     budget = opt("--depth") | opt("--budget") | opt("-v")
     own = {
         "crystal": [lam, budget, fmt("json", "dot"), opt("--cache-dir"), opt("--node-cap")],
-        "mult": [lam | pair, mu, opt("--node-cap")],
-        "tensor": [pair, budget, opt("--node-cap")],
-        "branch": [lam, mu, opt("-i"), fmt("json", "tsv"), opt("--node-cap")],
+        "mult": [lam | pair, mu],
+        "tensor": [pair, budget],
+        "branch": [lam, mu, opt("-i"), fmt("json", "tsv")],
         "leaves": [lam, mu, opt("--include-empty")],
-        "fixed": [lam | pair, mu, opt("--node-cap")],
+        "fixed": [lam | pair, mu],
         "check": [lam, opt("--depth"), opt("--node-cap")],
     }
     junk = st.sampled_from(["", "x", "-", "--", "--bogus", "-1", "1,2,3,4", "{", "-h", "--help",

@@ -12,7 +12,10 @@ from affsat import (
     ResourceCapError,
     Weight,
     apply_tensor_operator,
+    attracting_component_count,
+    enumerate_leaves,
     eps_phi,
+    fixed_point_count,
     freudenthal_multiplicity,
     fundamental_weight,
     generate_crystal,
@@ -28,7 +31,13 @@ from affsat import _kernels_py as kernels
 from affsat.cli import dot_from_graph_json
 from affsat.crystal import _scan_word, _word_raise, canonical_charges, tensor_splittings
 
-from conftest import dominant_bases, lowered
+from conftest import (
+    dominant_bases,
+    graph_branching,
+    graph_multiplicity,
+    graph_splittings,
+    lowered,
+)
 
 
 def test_tensor_eps_phi_highest_word():
@@ -311,7 +320,7 @@ def test_weight_multiplicity_matches_oracle_spot():
         for lam in dominant_bases(n, 2)[:4]:
             for u in [(1,) * n, (2,) + (1,) * (n - 1), (0, 2) + (0,) * (n - 2)]:
                 mu = lowered(lam, u)
-                assert weight_multiplicity(lam, mu) == freudenthal_multiplicity(lam, mu)
+                assert weight_multiplicity(lam, mu) == graph_multiplicity(lam, mu)
 
 
 @pytest.mark.parametrize("n, top", [(2, 4), (3, 3)])
@@ -331,16 +340,17 @@ def test_weight_multiplicity_on_a_box_with_non_weights(n, top):
 
 def test_levi_branching_examples():
     lam = fundamental_weight(2, 0)
-    assert levi_branching(lam, lam, 0) == {0: 1}
-    assert levi_branching(lam, lam, 1) == {0: 1}
-    assert levi_branching(lam, lowered(lam, (2, 2)), 1) == {0: 1, 1: 1}
+    assert levi_branching(lam, lam, 0) == graph_branching(lam, lam, 0) == {0: 1}
+    assert levi_branching(lam, lam, 1) == graph_branching(lam, lam, 1) == {0: 1}
+    mu = lowered(lam, (2, 2))
+    assert levi_branching(lam, mu, 1) == graph_branching(lam, mu, 1) == {0: 1, 1: 1}
 
 
 def test_levi_branching_sum_rule():
     lam = fundamental_weight(2, 0)
     mu = lowered(lam, (2, 2))
     assert mu.pairing(1) >= 0
-    assert sum(levi_branching(lam, mu, 1).values()) == weight_multiplicity(lam, mu)
+    assert sum(levi_branching(lam, mu, 1).values()) == graph_multiplicity(lam, mu)
 
 
 def test_levi_branching_stability():
@@ -351,6 +361,8 @@ def test_levi_branching_stability():
         mu = lowered(lam, u)
         t1 = levi_branching(lam, mu, i)
         t2 = levi_branching(lam, mu.minus_alpha(i), i)
+        assert t1 == graph_branching(lam, mu, i)
+        assert t2 == graph_branching(lam, mu.minus_alpha(i), i)
         for k, m in t1.items():
             assert t2.get(k + 1, 0) == m
         for k, m in t2.items():
@@ -407,6 +419,20 @@ def _pair_scan_highest_weights(lam1, lam2, budget):
     return out
 
 
+def _tensor_rule_highest_weights(lam1, lam2, budget):
+    """Reference decomposition by the tensor-product rule (Kashiwara, Duke
+    Math. J. 63, 1991): b1.b2 is killed by every e_i exactly when b1 is the
+    highest-weight word of B(lam1) and eps_i(b2) <= <lam1, h_i> for every i,
+    so one pass over B(lam2) truncated at the budget, reading eps_i(b2) off
+    its i-edges, tallies the highest weights."""
+    bound = lam1.pairings()
+    graph = generate_crystal(lam2, budget)
+    eps = [graph.eps(i) for i in range(lam1.n)]
+    counts = Counter(c for c, *e in zip(graph.cvecs, *eps)
+                     if all(x <= b for x, b in zip(e, bound)))
+    return {(lam1 + lam2).lowered(c): m for c, m in counts.items()}
+
+
 @pytest.mark.parametrize("n, max_level, budgets", [
     (2, 2, [(1, 1), (2, 2), (3, 3), (3, 1)]),
     (3, 2, [(1, 1, 1), (2, 2, 2), (2, 0, 1)]),
@@ -420,6 +446,85 @@ def test_tensor_highest_weights_match_pair_scan(n, max_level, budgets):
             for lam2 in weights:
                 assert (tensor_highest_weights(lam1, lam2, budget)
                         == _pair_scan_highest_weights(lam1, lam2, budget)), (lam1, lam2, budget)
+
+
+# The query shapes of the benchmark's queries session (QUERY_MIX in
+# perfbench/workloads.py): (command, n, w or (w1, w2), lowering vector of mu
+# or uniform budget, residue of branch).
+QUERY_SHAPES = [
+    ("mult", 2, (1, 0), (8, 8), None),
+    ("mult", 3, (1, 1, 0), (3, 3, 3), None),
+    ("mult", 4, (1, 0, 0, 0), (3, 3, 3, 2), None),
+    ("mult", 3, (1, 1, 0), (5, 5, 4), None),
+    ("fixed", 3, (1, 1, 0), (4, 4, 4), None),
+    ("mult_t", 3, ((1, 0, 0), (0, 1, 0)), (3, 3, 3), None),
+    ("mult_t", 2, ((1, 0), (0, 1)), (5, 5), None),
+    ("fixed_t", 3, ((1, 0, 0), (0, 1, 0)), (3, 3, 3), None),
+    ("branch", 2, (2, 0), (6, 6), 1),
+    ("branch", 3, (1, 1, 0), (4, 4, 4), 1),
+    ("branch", 3, (1, 1, 0), (5, 5, 5), 0),
+    ("leaves", 3, (1, 1, 0), (5, 5, 5), None),
+    ("leaves", 3, (1, 0, 0), (5, 5, 5), None),
+    ("tensor", 2, ((1, 0), (1, 0)), 8, None),
+    ("tensor", 3, ((1, 0, 0), (0, 1, 0)), 5, None),
+    ("tensor", 3, ((1, 1, 0), (0, 1, 1)), 5, None),
+    ("tensor", 3, ((1, 0, 1), (1, 1, 0)), 5, None),
+    ("tensor", 3, ((1, 1, 0), (0, 1, 1)), 6, None),
+]
+
+
+def _automorphisms(n):
+    """The diagram automorphisms i -> sign * i + rot (mod n) of affine
+    A_{n-1}^(1), each as the map it induces on vectors."""
+    maps = {tuple((sign * i + rot) % n for i in range(n))
+            for sign in (1, -1) for rot in range(n)}
+    for image in sorted(maps):
+        def apply(v, image=image):
+            out = [0] * n
+            for i, x in enumerate(v):
+                out[image[i]] = x
+            return tuple(out)
+        yield apply, image
+
+
+@pytest.mark.parametrize("op, n, w, size, i", QUERY_SHAPES,
+                         ids=[f"{e[0]}-n{e[1]}-{k}" for k, e in enumerate(QUERY_SHAPES)])
+def test_query_shapes_match_graph_routes(op, n, w, size, i):
+    # every diagram automorphism of the shape, with lambda (the first factor
+    # of a pair) shifted by -2 delta: the graph-free answers equal the graph
+    # routes they replaced
+    shift = (2,) * n
+    for sigma, image in _automorphisms(n):
+        if op == "tensor":
+            lam1, lam2 = Weight(n, sigma(w[0]), shift), Weight(n, sigma(w[1]), (0,) * n)
+            budget = (size,) * n
+            assert (tensor_highest_weights(lam1, lam2, budget)
+                    == _tensor_rule_highest_weights(lam1, lam2, budget)), (image, w)
+        elif op in ("mult_t", "fixed_t"):
+            lam1, lam2 = Weight(n, sigma(w[0]), shift), Weight(n, sigma(w[1]), (0,) * n)
+            mu = lowered(lam1 + lam2, sigma(size))
+            expected = graph_splittings(lam1, lam2, mu)
+            assert tensor_splittings(lam1, lam2, mu) == expected, (image, w)
+            assert tensor_weight_multiplicity(lam1, lam2, mu) == sum(
+                m1 * m2 for _, _, m1, m2 in expected)
+            assert tensor_fixed_points(lam1, lam2, mu) == [
+                (lowered(lam1, s), lowered(lam2, rest)) for s, rest, _, _ in expected]
+        else:
+            lam = Weight(n, sigma(w), shift)
+            mu = lowered(lam, sigma(size))
+            if op == "branch":
+                assert (levi_branching(lam, mu, image[i])
+                        == graph_branching(lam, mu, image[i])), (image, w)
+            elif op == "leaves":
+                box = itertools.product(*(range(x + 1) for x in sigma(size)))
+                dominant = {lowered(lam, c) for c in box if lowered(lam, c).is_dominant()}
+                strata = enumerate_leaves(lam, mu, include_empty=True)
+                assert {s.kappa for s in strata} == dominant, (image, w)
+            else:
+                m = graph_multiplicity(lam, mu)
+                assert weight_multiplicity(lam, mu) == m, (image, w)
+                assert attracting_component_count(lam, mu) == m
+                assert fixed_point_count(lam, mu) == (m > 0)
 
 
 def test_tensor_highest_weights_delta_shifted_factor():
@@ -491,7 +596,8 @@ def test_character_product_consistency():
     base = l1 + l2
     for u in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]:
         mu = lowered(base, u)
-        direct = tensor_weight_multiplicity(l1, l2, mu)
+        direct = sum(m1 * m2 for _, _, m1, m2 in graph_splittings(l1, l2, mu))
+        assert tensor_weight_multiplicity(l1, l2, mu) == direct
         via_components = sum(
             m * weight_multiplicity(kappa, mu) for kappa, m in thw.items()
         )

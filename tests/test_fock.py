@@ -118,7 +118,8 @@ def test_unique_highest_node_in_component():
     # every e_i is the empty partition itself
     for n in (2, 3):
         graph = generate_crystal(fundamental_weight(n, 0), (3,) * n)
-        singular = graph.singular_node_ids()
+        eps = [graph.eps(i) for i in range(n)]
+        singular = [node_id for node_id, e in enumerate(zip(*eps)) if not any(e)]
         assert len(singular) == 1
         assert graph.words[singular[0]] == ((0, ()),)
 

@@ -10,14 +10,13 @@ from affsat import (
     dominance_leq,
     enumerate_leaves,
     fixed_point_count,
-    freudenthal_multiplicity,
     fundamental_weight,
     sheaf_multiplicity_table,
     tensor_fixed_points,
     tensor_weight_multiplicity,
 )
 
-from conftest import dominant_bases, lowered
+from conftest import dominant_bases, graph_multiplicity, lowered
 
 
 def test_fixed_point_examples():
@@ -44,6 +43,7 @@ def test_dichotomy_random():
         fpc = fixed_point_count(lam, mu)
         assert fpc in (0, 1)
         assert fpc == (attracting_component_count(lam, mu) > 0)
+        assert attracting_component_count(lam, mu) == graph_multiplicity(lam, mu)
 
 
 def test_leaves_mu_equals_lambda():
@@ -132,8 +132,8 @@ def test_tensor_fixed_points_count_matches_nonzero_terms():
         for s in product(*(range(x + 1) for x in u)):
             rest = tuple(a - b for a, b in zip(u, s))
             if (
-                freudenthal_multiplicity(l1, lowered(l1, s)) > 0
-                and freudenthal_multiplicity(l2, lowered(l2, rest)) > 0
+                graph_multiplicity(l1, lowered(l1, s)) > 0
+                and graph_multiplicity(l2, lowered(l2, rest)) > 0
             ):
                 nonzero += 1
         assert len(pts) == nonzero
