@@ -4,8 +4,9 @@ One query, one document: every command writes exactly one JSON, DOT or TSV
 document to stdout and keeps diagnostics on stderr.  Exit codes: 0 success,
 2 validation error, 3 node-cap exceeded (crystal and check, which build a
 graph; mult, fixed, branch and tensor answer by Freudenthal and the Weyl
-group) or out of memory, 1 internal inconsistency (check's two routes
-disagreed, or a multiplicity failed a consistency check).
+group), out of memory or a box entry of 2^63 or more, 1 internal
+inconsistency (check's two routes disagreed, or a multiplicity failed a
+consistency check).
 
 The parser is the contract: each subcommand binds its handler and declares
 exactly the options the handler reads.  Each input is given one way.
@@ -416,7 +417,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"affsat: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ResourceCapError, MemoryError) as exc:
+    except (ResourceCapError, MemoryError, OverflowError) as exc:
         print(f"affsat: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ConsistencyError as exc:

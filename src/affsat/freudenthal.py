@@ -13,7 +13,8 @@ runs entirely over Python ints.  Positive roots of A_{n-1}^(1) are the finite
 type-A roots shifted by multiples of the null root delta (multiplicity 1)
 together with the imaginary roots k delta (multiplicity n - 1), so
 (alpha, alpha) is read off the root: 0 when its coefficients are all equal
-(k delta) and 2 otherwise.
+(k delta) and 2 otherwise.  They are kept in one table per degree (alpha_0
+coefficient), so the roots retained grow linearly with the deepest query.
 
 Multiplicities are invariant under the affine Weyl group W (Kac,
 Infinite-Dimensional Lie Algebras, §3.7), and at positive level every
@@ -38,7 +39,8 @@ worst compute one twice, and results do not depend on call order.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, lru_cache, partial
+from functools import cache, partial
+from itertools import chain
 
 from .cartan import (
     Weight,
@@ -55,32 +57,29 @@ from .errors import ConsistencyError, DomainError
 PositiveRoot = namedtuple("PositiveRoot", "coeffs multiplicity")
 
 
-@lru_cache(maxsize=None)
+@cache
+def _roots_of_degree(n: int, k: int) -> tuple[PositiveRoot, ...]:
+    """The positive roots with alpha_0 coefficient k: the finite roots x at
+    k = 0; otherwise k delta, of multiplicity n - 1, then k delta +- x."""
+    if k == 0:
+        return tuple(PositiveRoot((0,) * i + (1,) * (j - i) + (0,) * (n - j), 1)
+                     for i in range(1, n) for j in range(i + 1, n + 1))
+    return (PositiveRoot((k,) * n, n - 1), *(PositiveRoot(tuple(k + s * a for a in x), 1)
+                                             for x, _ in _roots_of_degree(n, 0) for s in (1, -1)))
+
+
 def positive_roots(n: int, degree_bound: int) -> tuple[PositiveRoot, ...]:
-    """All positive roots with alpha_0 coefficient at most degree_bound.
+    """All positive roots with alpha_0 coefficient at most degree_bound, by
+    increasing coefficient, so each bound's answer is a prefix of the next's.
 
     Complete within that window: finite positive roots (coefficient 0), real
-    roots (finite root plus k delta, k = 1..bound) and imaginary roots
-    k delta with multiplicity n - 1.
+    roots (finite root plus k delta, k = 1..bound) and imaginary roots k delta
+    with multiplicity n - 1.  The roots kept grow linearly with the bound.
     """
     check_rank(n)
     if degree_bound < 0:
         raise DomainError("degree_bound must be nonnegative")
-    finite = []
-    for i in range(1, n):
-        for j in range(i, n):
-            e = [0] * n
-            for l in range(i, j + 1):
-                e[l] = 1
-            finite.append(tuple(e))
-    roots = [PositiveRoot(e, 1) for e in finite]
-    for k in range(1, degree_bound + 1):
-        kdelta = (k,) * n
-        roots.append(PositiveRoot(kdelta, n - 1))
-        for e in finite:
-            roots.append(PositiveRoot(tuple(k + x for x in e), 1))
-            roots.append(PositiveRoot(tuple(k - x for x in e), 1))
-    return tuple(sorted(roots, key=lambda r: (sum(r.coeffs), r.coeffs)))
+    return tuple(chain.from_iterable(_roots_of_degree(n, k) for k in range(degree_bound + 1)))
 
 
 # Per dominant highest weight lam: its pairings, and the multiplicity of each
@@ -89,17 +88,17 @@ def positive_roots(n: int, degree_bound: int) -> tuple[PositiveRoot, ...]:
 _memo: dict[Weight, tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
 
 
-def _terms(plam: tuple[int, ...], u: tuple[int, ...], reduced) -> list[tuple[int, tuple[int, ...]]]:
+def _terms(plam: tuple[int, ...], u: tuple[int, ...], roots, reduced) -> list[tuple[int, tuple[int, ...]]]:
     """The nonzero terms of the Freudenthal sum at mu = lam - u.alpha, as
     (coefficient, lowering vector of the dominant representative of mu + k alpha).
 
-    reduced(u2) is dominant_lowering(plam, u2), memoized by the caller for
-    one evaluation.  Terms with coefficient zero, or whose weight mu + k alpha
-    is not a weight of L(lam), are left out.
+    roots[k] is the root table of degree k <= u_0, and reduced(u2) is
+    dominant_lowering(plam, u2) memoized for one evaluation.  Terms with
+    coefficient zero, or whose mu + k alpha is not a weight of L(lam), are left out.
     """
     p = [x - y for x, y in zip(plam, cartan_apply(u))]  # <mu, h_i>
     terms = []
-    for root in positive_roots(len(u), u[0]):
+    for root in chain.from_iterable(roots[: u[0] + 1]):
         e = root.coeffs
         # (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha) with (mu, alpha)
         # = sum_i e_i <mu, h_i>, for each k that keeps u - k e >= 0
@@ -142,6 +141,7 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
     """
     stack = [top]
     pending: dict[tuple[int, ...], list] = {}
+    roots = [_roots_of_degree(len(top), k) for k in range(top[0] + 1)]  # each u pushed is <= top
     reduced = cache(partial(dominant_lowering, plam))
     while stack:
         u = stack[-1]
@@ -150,7 +150,7 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
             continue
         terms = pending.get(u)
         if terms is None:
-            terms = pending[u] = _terms(plam, u, reduced)
+            terms = pending[u] = _terms(plam, u, roots, reduced)
             missing = [v for _, v in terms if v not in memo]
             if missing:
                 stack.extend(missing)

@@ -37,19 +37,18 @@ class Stratum(namedtuple("Stratum", "kappa k regular_locus_empty")):
         }
 
 
-def _partitions_of(size: int):
-    """All partitions of `size` as weakly decreasing tuples, lexicographically."""
+def _partitions(cells: int) -> list[tuple[int, ...]]:
+    """Every partition with at most `cells` cells, the empty one included, as
+    weakly decreasing tuples in lexicographic order."""
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, largest: int):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for p in range(min(remaining, largest), 0, -1):
+        out.append(prefix)  # a prefix sorts first; its extensions follow by next part
+        for p in range(1, min(remaining, largest) + 1):
             rec(prefix + (p,), remaining - p, p)
 
-    rec((), size, size)
-    return sorted(out)
+    rec((), cells, cells)
+    return out
 
 
 def fixed_point_count(lam: Weight, mu: Weight) -> int:
@@ -78,19 +77,16 @@ def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> li
     if v is None or any(x < 0 for x in v):
         return []
     level_one = lam.level == 1
-    strata = []
-    for c in product(*(range(x + 1) for x in v)):
-        if min([a - b for a, b in zip(plam, cartan_apply(c))]) < 0:
-            continue
-        empty_flag = level_one and c != v
-        if empty_flag and not include_empty:
-            continue
-        kappa = lam.lowered(c)
-        for size in range(min(c) + 1):
-            for k in _partitions_of(size):
-                strata.append((sum(c), c, k, Stratum(kappa, k, empty_flag)))
-    strata.sort(key=lambda item: item[:3])
-    return [item[3] for item in strata]
+    # product yields c in lexicographic order, so a stable sort by height
+    # orders the kept c by (height, c)
+    kept = sorted((c for c in product(*(range(x + 1) for x in v))
+                   if min([a - b for a, b in zip(plam, cartan_apply(c))]) >= 0
+                   and (include_empty or not level_one or c == v)), key=sum)
+    partitions = _partitions(max(map(min, kept), default=0))
+    # per m = min(c): the partitions of at most m cells, in lexicographic order
+    within = {m: [k for k in partitions if sum(k) <= m] for m in set(map(min, kept))}
+    return [Stratum(kappa, k, level_one and c != v)
+            for c, kappa in zip(kept, map(lam.lowered, kept)) for k in within[min(c)]]
 
 
 def tensor_fixed_points(lam1: Weight, lam2: Weight, mu: Weight) -> list[tuple[Weight, Weight]]:

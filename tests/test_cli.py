@@ -315,6 +315,14 @@ def test_validation_errors(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1 and message in err, argv
+    # A box too large to enumerate is out of resources: exit 3, one line.
+    for argv in [
+        ("leaves", "-n", "2", "-w", "1,0", "-v", "9223372036854775807,0"),
+        ("tensor", "-n", "2", "--w1", "1,0", "--w2", "0,1", "--budget", "0,99999999999999999999"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("affsat: "), argv
     assert not any(tmp_path.iterdir())
 
 

@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,56 @@ def test_positive_roots_imaginary_multiplicity():
         for coeffs, mult in roots.items():
             if len(set(coeffs)) > 1:
                 assert mult == 1
+
+
+def _roots_oracle(n, bound):
+    """Positive roots with alpha_0 coefficient at most bound, with their
+    multiplicities: every nonzero e >= 0 in the window whose norm e^T C e is
+    0 (imaginary, multiplicity n - 1) or 2 (real, multiplicity 1), Kac
+    Prop. 5.10.  A root of degree k has every coefficient in k-1..k+1."""
+    out = {}
+    for e in itertools.product(range(bound + 1), *[range(bound + 2)] * (n - 1)):
+        norm = sum((2 * e[i] - e[i - 1] - e[(i + 1) % n]) * e[i] for i in range(n))
+        if any(e) and norm in (0, 2):
+            out[e] = 1 if norm else n - 1
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_positive_roots_match_the_norm_oracle(n):
+    previous = ()
+    for bound in range(6):
+        roots = positive_roots(n, bound)
+        assert len(roots) == len({r.coeffs for r in roots})
+        assert {r.coeffs: r.multiplicity for r in roots} == _roots_oracle(n, bound), (n, bound)
+        # by degree: each bound's roots extend the last bound's unchanged
+        assert roots[: len(previous)] == previous, (n, bound)
+        previous = roots
+
+
+ROOT_TABLE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from affsat import freudenthal, fundamental_weight
+lam = fundamental_weight(2, 0)
+freudenthal.freudenthal_multiplicity(lam, lam.lowered((160, 160)))
+tables = freudenthal._roots_of_degree
+degrees = tables.cache_info().currsize
+print(degrees, sum(len(tables(2, k)) for k in range(degrees)), tables.cache_info().currsize)
+"""
+
+
+def test_root_tables_grow_linearly_with_depth():
+    # Lambda_0 - 160 delta at n = 2 keeps the tables of degree 0..160: one
+    # finite root, then delta-multiple, +alpha_1 and -alpha_1 per degree.
+    # The table count is read again after the roots are summed: reading
+    # the tables builds none.
+    proc = subprocess.run(
+        [sys.executable, "-c", ROOT_TABLE_SCRIPT, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["161", str(3 * 160 + 1), "161"]
 
 
 def test_positive_roots_validation():

@@ -5,18 +5,22 @@ import pytest
 
 from affsat import (
     DomainError,
+    Stratum,
     Weight,
     attracting_component_count,
     dominance_leq,
     enumerate_leaves,
     fixed_point_count,
     fundamental_weight,
+    lowering_vector,
     sheaf_multiplicity_table,
     tensor_fixed_points,
     tensor_weight_multiplicity,
 )
+from affsat import satake
+from affsat.cartan import cartan_apply, highest_pairings
 
-from conftest import dominant_bases, graph_multiplicity, lowered
+from conftest import coloured_partitions, dominant_bases, graph_multiplicity, lowered
 
 
 def test_fixed_point_examples():
@@ -101,6 +105,75 @@ def test_leaves_monotone_in_v():
     small = {(s.kappa, s.k) for s in enumerate_leaves(lam, lowered(lam, (1, 1)), include_empty=True)}
     large = {(s.kappa, s.k) for s in enumerate_leaves(lam, lowered(lam, (2, 2)), include_empty=True)}
     assert small <= large
+
+
+def _reference_partitions_of(size):
+    out = []
+
+    def rec(prefix, remaining, largest):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for p in range(min(remaining, largest), 0, -1):
+            rec(prefix + (p,), remaining - p, p)
+
+    rec((), size, size)
+    return sorted(out)
+
+
+def _reference_leaves(lam, mu, include_empty):
+    """Every stratum of the box, then one sort by (height, c, k): the list
+    enumerate_leaves must reproduce, in order."""
+    plam = highest_pairings(lam)
+    v = lowering_vector(lam, mu)
+    if v is None or any(x < 0 for x in v):
+        return []
+    level_one = lam.level == 1
+    strata = []
+    for c in product(*(range(x + 1) for x in v)):
+        if min([a - b for a, b in zip(plam, cartan_apply(c))]) < 0:
+            continue
+        empty_flag = level_one and c != v
+        if empty_flag and not include_empty:
+            continue
+        kappa = lam.lowered(c)
+        for size in range(min(c) + 1):
+            for k in _reference_partitions_of(size):
+                strata.append((sum(c), c, k, Stratum(kappa, k, empty_flag)))
+    strata.sort(key=lambda item: item[:3])
+    return [item[3] for item in strata]
+
+
+@pytest.mark.parametrize("n, top", [(2, 4), (3, 4), (4, 2)])
+def test_leaves_match_the_sorted_reference(n, top):
+    for lam in dominant_bases(n, 3):
+        for v in product(range(top + 1), repeat=n):
+            mu = lowered(lam, v)
+            everything = _reference_leaves(lam, mu, include_empty=True)
+            assert enumerate_leaves(lam, mu, include_empty=True) == everything, (lam, v)
+            # the reference filters while it enumerates, before its sort
+            assert enumerate_leaves(lam, mu) == [
+                s for s in everything if not s.regular_locus_empty], (lam, v)
+
+
+def test_partitions_built_only_up_to_a_kept_kappa(monkeypatch):
+    sizes = []
+    original = satake._partitions
+
+    def recorder(cells):
+        sizes.append(cells)
+        return original(cells)
+
+    monkeypatch.setattr(satake, "_partitions", recorder)
+    lam = fundamental_weight(2, 0)
+    # Lambda_0 - 40 alpha_0 - 39 alpha_1 is not dominant, and at level 1 no
+    # kappa strictly above it is kept: no partition is needed
+    assert enumerate_leaves(lam, lowered(lam, (40, 39))) == []
+    assert max(sizes) == 0
+    sizes.clear()
+    strata = enumerate_leaves(lam, lowered(lam, (6, 6)))
+    assert len(strata) == sum(coloured_partitions(1, s) for s in range(7))
+    assert sizes == [6]
 
 
 def test_leaves_validation():
