@@ -4,7 +4,8 @@ One query, one document: every command writes exactly one JSON, DOT or TSV
 document to stdout and keeps diagnostics on stderr.  Exit codes: 0 success,
 2 validation error, 3 node-cap exceeded (crystal and check, which build a
 graph; mult, fixed, branch and tensor answer by Freudenthal and the Weyl
-group), out of memory or a box entry of 2^63 or more, 1 internal
+group, whose recursion refuses to store more weights than the default cap),
+out of memory or a box entry of 2^63 or more, 1 internal
 inconsistency (check's two routes disagreed, or a multiplicity failed a
 consistency check).
 
@@ -320,9 +321,8 @@ def _cmd_check(args) -> tuple[str, int]:
     compared = 0
     for u in product(*(range(b + 1) for b in budget)):
         compared += 1
-        mu = lam.lowered(u)
         got = counts.get(u, 0)
-        want = freudenthal.freudenthal_multiplicity(lam, mu)
+        want = freudenthal.multiplicity_at(lam, u)
         if got != want:
             disagreements.append({"c": list(u), "crystal": got, "freudenthal": want})
     ok = not disagreements

@@ -32,7 +32,8 @@ could free, and the caller's setting restored after.  (charge, parts) words
 are materialized only at the API edge (CrystalGraph.words, node()).
 
 The multiplicity queries build no graph: weight multiplicities and tensor
-splittings are Freudenthal multiplicities, Levi branching their sl2 string
+splittings are Freudenthal multiplicities, asked by the lowering vectors a
+query holds (freudenthal.multiplicity_at), Levi branching their sl2 string
 differences, and tensor decomposition the affine Racah-Speiser sum.  Tier-1
 holds them to the graph routes they replaced (node counts, e_i-killed
 nodes, the tensor-product rule over B(lambda2)); `affsat check` holds the
@@ -56,8 +57,8 @@ from .cartan import (
     Weight,
     canonical_dumps,
     cartan_apply,
+    dominant_lowering,
     highest_pairings,
-    is_weight_of,
     lowering_vector,
     weyl_orbit_lowerings,
 )
@@ -364,7 +365,7 @@ def levi_branching(lam: Weight, mu: Weight, i: int) -> dict[int, int]:
     for k in range(u[i], -1, -1):
         if pairing + 2 * k < 0:
             break
-        at = freudenthal.freudenthal_multiplicity(lam, mu.plus_alpha(i, k))
+        at = freudenthal.multiplicity_at(lam, u[:i] + (u[i] - k,) + u[i + 1 :])
         if at < above:
             raise ConsistencyError(f"sl2 string at node {i} shrinks at k={k}: {at} < {above}")
         if at > above:
@@ -391,11 +392,11 @@ def tensor_highest_weights(lam1: Weight, lam2: Weight, budget) -> dict[Weight, i
     base = lam1 + lam2
     budget = _validate_budget(lam1.n, budget)
     orbit = weyl_orbit_lowerings([x + 1 for x in plam1], budget)
-    mult = freudenthal.freudenthal_multiplicity
+    mult = freudenthal.multiplicity_at
     out = {}
     for c in product(*(range(b + 1) for b in budget)):
         if min([a - b for a, b in zip(ptop, cartan_apply(c))]) >= 0:
-            m = sum([sign * mult(lam2, lam2.lowered([x - y for x, y in zip(c, d)]))
+            m = sum([sign * mult(lam2, tuple([x - y for x, y in zip(c, d)]))
                      for d, sign in orbit if all(x <= y for x, y in zip(d, c))])
             if m:
                 out[base.lowered(c)] = m
@@ -413,16 +414,16 @@ def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight) -> list[tuple[tupl
     highest_pairings(lam1)
     highest_pairings(lam2)
     base = lam1 + lam2
-    if not is_weight_of(base, mu):
-        return []
     u = lowering_vector(base, mu)
-    mult = freudenthal.freudenthal_multiplicity
+    if u is None or dominant_lowering(highest_pairings(base), u) is None:
+        return []
+    mult = freudenthal.multiplicity_at
     out = []
     for s in product(*(range(x + 1) for x in u)):
-        m1 = mult(lam1, lam1.lowered(s))
+        m1 = mult(lam1, s)
         if m1:
             rest = tuple([a - b for a, b in zip(u, s)])
-            m2 = mult(lam2, lam2.lowered(rest))
+            m2 = mult(lam2, rest)
             if m2:
                 out.append((s, rest, m1, m2))
     return out

@@ -24,15 +24,23 @@ class IncomparableWeightsError(DomainError):
 class ResourceCapError(AffsatError, RuntimeError):
     """Graph generation exceeded the configured node cap."""
 
+    message = ("crystal generation exceeded the node cap of {cap} nodes "
+               "(budget {budget} produced at least {count}); "
+               "raise node_cap or shrink the budget")
+
     def __init__(self, cap: int, budget, count: int):
         self.cap = cap
         self.budget = tuple(budget)
         self.count = count
-        super().__init__(
-            f"crystal generation exceeded the node cap of {cap} nodes "
-            f"(budget {self.budget} produced at least {count}); "
-            f"raise node_cap or shrink the budget"
-        )
+        super().__init__(self.message.format(cap=cap, budget=self.budget, count=count))
+
+
+class RecursionCapError(ResourceCapError):
+    """A Freudenthal recursion would store more weights than the node cap;
+    budget is the lowering vector it would start from."""
+
+    message = ("Freudenthal recursion at lowering vector {budget} would store at least "
+               "{count} weights, over the node cap of {cap}")
 
 
 class ConsistencyError(AffsatError, RuntimeError):

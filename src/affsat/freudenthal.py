@@ -29,11 +29,15 @@ The §3.12 reduction holds only at positive level, so lambda must be
 dominant of level >= 1 (cartan.highest_pairings, checked when lambda first
 reaches the memo); a level-0 lambda raises NoHighestWeightError.
 
-Results are memoized per (lambda, dominant nu) for the life of the process,
-reductions only per evaluation: at lambda = Lambda_0, n = 2, the query at
-lambda - d delta stores the d + 1 weights lambda - k delta, k <= d.  Every
-entry is a deterministic function of its key, so concurrent callers can at
-worst compute one twice, and results do not depend on call order.
+Every query is one lookup by lowering vector, multiplicity_at(lam, u) at
+mu = lam - u.alpha, u being the memo's own key, so callers that hold u build
+no Weight.  Results are memoized per (lambda, dominant nu) for the life of
+the process, reductions only per evaluation.  The recursion at a dominant
+lam - nu.alpha stores lam - nu.alpha + k delta for every k <= min(nu) (the
+imaginary-root terms pair to the level, which is positive), so a miss with
+min(nu) >= DEFAULT_NODE_CAP raises RecursionCapError before any work.
+Every entry is a deterministic function of its key, so concurrent callers
+can at worst compute one twice, and results do not depend on call order.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from functools import cache, partial
 from itertools import chain
 
 from .cartan import (
+    DEFAULT_NODE_CAP,
     Weight,
     cartan_apply,
     check_rank,
@@ -50,7 +55,7 @@ from .cartan import (
     highest_pairings,
     lowering_vector,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, RecursionCapError
 
 
 # A positive root sum_i coeffs_i alpha_i with its root multiplicity.
@@ -118,17 +123,11 @@ def _solve(plam: tuple[int, ...], u: tuple[int, ...], terms, memo) -> int:
     au = cartan_apply(u)
     denom = 2 * sum(uj * (pj + 1) for uj, pj in zip(u, plam)) - sum(ui * aui for ui, aui in zip(u, au))
     rhs = 2 * sum(coef * memo[v] for coef, v in terms)
-    if denom <= 0:
-        # A genuine weight below lambda always has a positive denominator, so
-        # this point is only reached off the weight system; the recursion must
-        # then be telling us the multiplicity is zero.
-        if rhs != 0:
-            raise ConsistencyError(
-                f"Freudenthal denominator {denom} <= 0 with nonzero numerator {rhs} at u={u}"
-            )
-        return 0
-    if rhs % denom:
-        raise ConsistencyError(f"Freudenthal sum {rhs} not divisible by {denom} at u={u}")
+    # nu = lam - u.alpha is dominant and u >= 0 is nonzero, so the denominator
+    # sum_j u_j (<lam,h_j> + <nu,h_j> + 2) is positive
+    if denom <= 0 or rhs % denom:
+        raise ConsistencyError(f"Freudenthal sum {rhs} not a multiple of the positive "
+                               f"denominator {denom} at u={u}")
     return rhs // denom
 
 
@@ -160,19 +159,19 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
     return memo[top]
 
 
-def freudenthal_multiplicity(lam: Weight, mu: Weight) -> int:
-    """Multiplicity of mu in the highest-weight module for lambda.
+def multiplicity_at(lam: Weight, u: tuple[int, ...] | None) -> int:
+    """Multiplicity of lam - sum_i u_i alpha_i in the highest-weight module
+    for lambda: the one memo lookup every query makes.
 
-    Zero when the dominant representative of mu is not below lambda
-    (cartan.is_weight_of); otherwise the multiplicity at that representative,
-    which equals the one at mu.  One at mu = lam.  lam must be dominant of
-    level >= 1.
+    Zero when u is None (off the root lattice) or when the dominant
+    representative lam - nu.alpha of that weight is not below lambda.  lam
+    must be dominant of level >= 1, checked on its first lookup.  A memo
+    miss at nu with min(nu) >= DEFAULT_NODE_CAP raises RecursionCapError.
     """
     entry = _memo.get(lam)
     if entry is None:
         entry = _memo.setdefault(lam, (highest_pairings(lam), {(0,) * lam.n: 1}))
     plam, memo = entry
-    u = lowering_vector(lam, mu)
     if u is None:
         return 0
     m = memo.get(u)  # the memo holds only dominant weights: a hit needs no reduction
@@ -182,4 +181,17 @@ def freudenthal_multiplicity(lam: Weight, mu: Weight) -> int:
     if nu is None:
         return 0
     m = memo.get(nu)
-    return m if m is not None else _evaluate(plam, nu, memo)
+    if m is not None:
+        return m
+    if min(nu) >= DEFAULT_NODE_CAP:
+        raise RecursionCapError(DEFAULT_NODE_CAP, nu, min(nu) + 1)
+    return _evaluate(plam, nu, memo)
+
+
+def freudenthal_multiplicity(lam: Weight, mu: Weight) -> int:
+    """Multiplicity of mu in the highest-weight module for lambda: the
+    lookup at mu's lowering vector (multiplicity_at), so zero when the
+    dominant representative of mu is not below lambda (cartan.is_weight_of).
+    lam must be dominant of level >= 1.
+    """
+    return multiplicity_at(lam, lowering_vector(lam, mu))

@@ -92,6 +92,10 @@ def test_weights_from_dims_errors():
 def test_dims_from_weights_roundtrip():
     lam, mu = weights_from_dims(3, (1, 0, 2), (2, 0, 5))
     assert dims_from_weights(lam, mu) == ((1, 0, 2), (2, 0, 5))
+    with pytest.raises(DomainError, match="same rank and w-part"):
+        dims_from_weights(lam, Weight(3, (0, 1, 2), mu.c))
+    with pytest.raises(DomainError, match="negative entries"):
+        dims_from_weights(mu, lam)
 
 
 def test_weight_invariants_examples():
@@ -189,6 +193,11 @@ def test_dominance_incomparable_bases():
 def test_lowering_vector_same_base():
     lam = fundamental_weight(3, 0)
     assert lowering_vector(lam, lowered(lam, (2, 0, 1))) == (2, 0, 1)
+
+
+def test_lowering_vector_across_ranks():
+    with pytest.raises(DomainError, match="same rank"):
+        lowering_vector(fundamental_weight(3, 0), fundamental_weight(2, 0))
 
 
 def test_weight_json_roundtrip():

@@ -309,6 +309,7 @@ def test_validation_errors(capsys, tmp_path):
         (("mult", "-n", "2", "-w", "1,0"), "one of the arguments -v --mu is required"),
         (("branch", "-n", "2", "-w", "1,0", "-v", "2,2"), "required: -i"),
         (("check", "-n", "2", "-w", "1,0"), "required: --depth"),
+        (("mult", "-n", "2", "-w", "1,0", "-v=-1,0"), "v entries must be nonnegative"),
         (("branch", "-n", "2", "-w", "1,0", "-v", "2,2", "-i", "1", "--format", "dot"),
          "invalid choice"),
     ]:
@@ -486,6 +487,65 @@ def test_memory_error_exit(capsys, monkeypatch):
     monkeypatch.setattr(crystal, "generate_crystal", exhausted)
     assert run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "2") == (
         3, "", "affsat: out of memory\n")
+
+
+@pytest.mark.parametrize("command", ["mult", "fixed"])
+def test_freudenthal_depth_guard_exits_3(command):
+    # Each would start a recursion down to lambda - (2^63 - 1) delta.
+    proc = subprocess.run(
+        [*AFFSAT, command, "-n", "2", "-w", "1,0", "-v", "9223372036854775807,9223372036854775807"],
+        capture_output=True, text=True, env=SRC_ENV, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1 and "node cap of 5000000" in proc.stderr
+    assert "crystal generation" not in proc.stderr
+
+
+def test_check_reports_disagreement(capsys, monkeypatch):
+    from affsat import freudenthal
+
+    lookup = freudenthal.multiplicity_at
+    monkeypatch.setattr(freudenthal, "multiplicity_at", lambda lam, u: lookup(lam, u) + 1)
+    code, out, err = run_cli(capsys, "check", "-n", "2", "-w", "1,0", "--depth", "1")
+    doc = json.loads(out)
+    assert (code, doc["status"], doc["weights_compared"]) == (1, "FAIL", 4)
+    assert doc["disagreements"] == [
+        {"c": [0, 0], "crystal": 1, "freudenthal": 2},
+        {"c": [0, 1], "crystal": 0, "freudenthal": 1},
+        {"c": [1, 0], "crystal": 1, "freudenthal": 2},
+        {"c": [1, 1], "crystal": 1, "freudenthal": 2},
+    ]
+    assert "FAIL" in err
+
+
+def test_consistency_error_exit(capsys, monkeypatch):
+    from affsat import crystal
+    from affsat.errors import ConsistencyError
+
+    def inconsistent(*args):
+        raise ConsistencyError("routes disagree")
+
+    monkeypatch.setattr(crystal, "weight_multiplicity", inconsistent)
+    assert run_cli(capsys, "mult", "-n", "2", "-w", "1,0", "-v", "1,1") == (
+        1, "", "affsat: internal consistency failure: routes disagree\n")
+
+
+def test_cache_entry_that_is_a_directory(tmp_path, capsys):
+    # The entry cannot be read or replaced: the document is built and
+    # served, with one warning for each, and no temp file is left behind.
+    argv = ("crystal", "-n", "2", "-w", "1,0", "--depth", "2")
+    _, want, _ = run_cli(capsys, *argv)
+    cache_dir = tmp_path / "cache"
+    run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+    [entry_path] = cache_dir.iterdir()
+    entry_path.unlink()
+    entry_path.mkdir()
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert (code, out) == (0, want)
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert "unreadable; rebuilding" in lines[0] and "cache write failed" in lines[1]
+    assert list(cache_dir.iterdir()) == [entry_path]
 
 
 def test_cache_round_trip(tmp_path, capsys):

@@ -53,6 +53,14 @@ def test_tensor_eps_phi_highest_word():
         assert ri.phi - ri.eps == wt.pairing(i)
 
 
+def test_apply_tensor_operator_ends_and_direction():
+    node = CrystalNode(2, ((0, ()),))  # highest word of Lambda_0: phi_1 = eps_0 = 0
+    assert apply_tensor_operator(node, 1, "lower") is None
+    assert apply_tensor_operator(node, 0, "raise") is None
+    with pytest.raises(DomainError, match='"lower" or "raise"'):
+        apply_tensor_operator(node, 0, "up")
+
+
 def test_tensor_rule_single_factor_degenerates_to_fock():
     for parts in [(), (1,), (2,), (2, 1), (3, 1, 1)]:
         node = CrystalNode(2, ((0, parts),))

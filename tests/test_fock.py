@@ -133,6 +133,7 @@ def test_partition_json():
         {"parts": [2, 1], "charge": 1.7},
         {"parts": [2, True], "charge": 0},
         {"parts": [2, 1], "charge": "x"},
+        {},
     ]:
         with pytest.raises(DomainError, match="malformed partition JSON"):
             ChargedPartition.from_json(obj, 3)

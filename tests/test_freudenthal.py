@@ -6,8 +6,11 @@ from pathlib import Path
 import pytest
 
 from affsat import (
+    DEFAULT_NODE_CAP,
+    ConsistencyError,
     DomainError,
     PositiveRoot,
+    ResourceCapError,
     Weight,
     freudenthal_multiplicity,
     fundamental_weight,
@@ -238,6 +241,39 @@ def test_far_below_the_weight_system():
     # Lambda_0 - 2000 alpha_1 reduces to no weight of L(Lambda_0).
     lam = fundamental_weight(2, 0)
     assert freudenthal_multiplicity(lam, lowered(lam, (0, 2000))) == 0
+
+
+def test_depth_guard_raises_before_any_work(monkeypatch):
+    # The recursion at nu would store lam - (nu - k delta) for k <= min(nu),
+    # so a miss at min(nu) >= the node cap is refused before evaluating.
+    def no_work(*args):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(freudenthal, "_evaluate", no_work)
+    lam = fundamental_weight(2, 0)
+    for u in [(DEFAULT_NODE_CAP,) * 2, (2**63 - 1,) * 2]:
+        with pytest.raises(ResourceCapError) as exc:
+            freudenthal_multiplicity(lam, lowered(lam, u))
+        assert f"node cap of {DEFAULT_NODE_CAP}" in str(exc.value)
+        assert "crystal generation" not in str(exc.value)
+    # one below the cap is evaluated, by the same lookup the callers share
+    with pytest.raises(AssertionError, match="evaluated"):
+        freudenthal.multiplicity_at(lam, (DEFAULT_NODE_CAP - 1,) * 2)
+
+
+def test_lookup_by_lowering_vector_matches_the_crystal():
+    lam = Weight(3, (1, 1, 0), (0, 0, 0))
+    counts = generate_crystal(lam, (3, 3, 3)).weight_counts()
+    for u in itertools.product(range(-1, 4), repeat=3):
+        assert freudenthal.multiplicity_at(lam, u) == counts.get(u, 0), u
+    assert freudenthal.multiplicity_at(lam, None) == 0
+
+
+def test_solve_refuses_a_nonpositive_denominator():
+    # (0, 1) below Lambda_0 at n = 2 is not a weight, and the denominator is 0
+    # there; every u the recursion reaches has a positive one.
+    with pytest.raises(ConsistencyError, match="denominator 0"):
+        freudenthal._solve((1, 0), (0, 1), [], {})
 
 
 RECURSION_SCRIPT = """
