@@ -28,9 +28,11 @@ import json
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate
+from math import prod
 from operator import index as as_int
 
-from .errors import DomainError, IncomparableWeightsError, NoHighestWeightError, RankError
+from .errors import (BoxCapError, DomainError, IncomparableWeightsError, NoHighestWeightError,
+                     RankError)
 
 # Pins the signature and tensor conventions; cached graphs are only reused
 # when this matches, so changing a convention invalidates old caches.
@@ -302,6 +304,14 @@ def lowering_vector(lam: Weight, mu: Weight) -> tuple[int, ...] | None:
         return None
     # mu - lam = d.Lambda - (c(mu)-c(lam)).alpha and d.Lambda = s.alpha.
     return tuple(cm - cl - si for cm, cl, si in zip(mu.c, lam.c, s))
+
+
+def check_box(box: Sequence[int]) -> None:
+    """Refuse, before it starts, a walk over the points 0 <= c <= box when
+    there are more than DEFAULT_NODE_CAP of them."""
+    count = prod(x + 1 for x in box)
+    if count > DEFAULT_NODE_CAP:
+        raise BoxCapError(DEFAULT_NODE_CAP, box, count)
 
 
 def dominance_leq(nu: Weight, mu: Weight) -> bool:

@@ -4,8 +4,9 @@ One query, one document: every command writes exactly one JSON, DOT or TSV
 document to stdout and keeps diagnostics on stderr.  Exit codes: 0 success,
 2 validation error, 3 node-cap exceeded (crystal and check, which build a
 graph; mult, fixed, branch and tensor answer by Freudenthal and the Weyl
-group, whose recursion refuses to store more weights than the default cap),
-out of memory or a box entry of 2^63 or more, 1 internal
+group, whose recursion refuses to store more weights than the default cap,
+and whose box walks refuse to visit more points than it), out of memory or
+a box entry of 2^63 or more, 1 internal
 inconsistency (check's two routes disagreed, or a multiplicity failed a
 consistency check).
 

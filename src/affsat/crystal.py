@@ -37,7 +37,9 @@ query holds (freudenthal.multiplicity_at), Levi branching their sl2 string
 differences, and tensor decomposition the affine Racah-Speiser sum.  Tier-1
 holds them to the graph routes they replaced (node counts, e_i-killed
 nodes, the tensor-product rule over B(lambda2)); `affsat check` holds the
-node counts to Freudenthal.
+node counts to Freudenthal.  Each of them counts the points of the box it
+walks (the sl2 string, the tensor budget, the splittings of u) before the
+first, and refuses more than DEFAULT_NODE_CAP (cartan.check_box).
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .cartan import (
     Weight,
     canonical_dumps,
     cartan_apply,
+    check_box,
     dominant_lowering,
     highest_pairings,
     lowering_vector,
@@ -359,6 +362,7 @@ def levi_branching(lam: Weight, mu: Weight, i: int) -> dict[int, int]:
     u = lowering_vector(lam, mu)
     if u is None or any(x < 0 for x in u):
         return {}
+    check_box((u[i],))  # the string mu + k alpha_i, k = u_i .. 0
     table = {}
     above = 0
     pairing = mu.pairing(i)
@@ -391,6 +395,7 @@ def tensor_highest_weights(lam1: Weight, lam2: Weight, budget) -> dict[Weight, i
     ptop = [a + b for a, b in zip(plam1, highest_pairings(lam2))]
     base = lam1 + lam2
     budget = _validate_budget(lam1.n, budget)
+    check_box(budget)
     orbit = weyl_orbit_lowerings([x + 1 for x in plam1], budget)
     mult = freudenthal.multiplicity_at
     out = {}
@@ -417,6 +422,7 @@ def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight) -> list[tuple[tupl
     u = lowering_vector(base, mu)
     if u is None or dominant_lowering(highest_pairings(base), u) is None:
         return []
+    check_box(u)
     mult = freudenthal.multiplicity_at
     out = []
     for s in product(*(range(x + 1) for x in u)):

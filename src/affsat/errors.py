@@ -43,5 +43,12 @@ class RecursionCapError(ResourceCapError):
                "{count} weights, over the node cap of {cap}")
 
 
+class BoxCapError(ResourceCapError):
+    """A walk over the lowering vectors 0 <= c <= budget would visit more
+    points than the node cap."""
+
+    message = "walking the box {budget} would visit {count} points, over the node cap of {cap}"
+
+
 class ConsistencyError(AffsatError, RuntimeError):
     """Two routes that must agree did not; signals a bug, not bad input."""

@@ -1,33 +1,35 @@
 """Weight multiplicities via the Freudenthal recursion: the route mult, fixed,
 branch and tensor answer by, independent of the crystal engine that `check`
-and tier-1 hold it to.
+and tier-1 hold it to.  With the invariant form normalized so that
+(alpha_i, alpha_i) = 2, (nu, sum e_i alpha_i) = sum e_i <nu, h_i>, so
 
-Everything reduces to Cartan pairings: with the invariant form normalized so
-that (alpha_i, alpha_i) = 2, any pairing (nu, sum e_i alpha_i) equals
-sum e_i <nu, h_i>, so the recursion
-
-    (|lam+rho|^2 - |mu+rho|^2) mult(mu)
-        = 2 sum_{alpha > 0} mult(alpha) sum_{k >= 1} (mu + k alpha, alpha) mult(mu + k alpha)
+    (|lam+rho|^2 - |nu+rho|^2) mult(nu) = 2 sum_{alpha > 0} mult(alpha) T(alpha),
+    T(alpha) = sum_{k >= 1} (nu + k alpha, alpha) mult(nu + k alpha)
 
 runs entirely over Python ints.  Positive roots of A_{n-1}^(1) are the finite
 type-A roots shifted by multiples of the null root delta (multiplicity 1)
-together with the imaginary roots k delta (multiplicity n - 1), so
-(alpha, alpha) is read off the root: 0 when its coefficients are all equal
-(k delta) and 2 otherwise.  They are kept in one table per degree (alpha_0
-coefficient), so the roots retained grow linearly with the deepest query.
+together with the imaginary roots k delta (multiplicity n - 1, (alpha, alpha)
+= 0), kept in one table per degree (alpha_0 coefficient), so the roots
+retained grow linearly with the deepest query.
 
 Multiplicities are invariant under the affine Weyl group W (Kac,
 Infinite-Dimensional Lie Algebras, §3.7), and at positive level every
 W-orbit meets the dominant chamber exactly once (§3.12).  So a query at mu
 is answered at its dominant representative nu (cartan.dominant_lowering):
 zero when nu is not below lambda, and otherwise the recursion at nu, each of
-whose terms mult(nu + k alpha) is reduced the same way (Moody-Patera, Bull.
-AMS 7, 1982).  The recursion is evaluated with an explicit stack, never by
-Python recursion, so its depth is not bounded by the interpreter.
+whose terms mult(nu + k alpha) is reduced the same way.
 
-The §3.12 reduction holds only at positive level, so lambda must be
-dominant of level >= 1 (cartan.highest_pairings, checked when lambda first
-reaches the memo); a level-0 lambda raises NoHighestWeightError.
+At a dominant nu the sum runs once per orbit of the stabilizer W_J, J = {j :
+<nu, h_j> = 0}, finite as J is a proper subset of the diagram (Moody-Patera,
+Bull. AMS 7, 1982).  W_J fixes nu and permutes the positive roots off the
+finite subsystem Delta_J, so T is constant on their orbits; for beta in
+Delta_J+, (nu, beta) = 0 and the sl2 string give T(-beta) = T(beta), so the
+Delta_J+ part is half the sum over the W_J-orbits of Delta_J.  Each orbit has
+one J-dominant member alpha, with orbit size |O| = |W_J| / |W_J'|, J' the
+nodes of J with <alpha, h_j> = 0.  So only J-dominant roots are summed,
+weighted 2 mult(alpha) |O| off Delta_J and |O| on it, and the factor 2 is
+gone.  lambda must be dominant of level >= 1 (cartan.highest_pairings,
+checked when lambda first reaches the memo), else NoHighestWeightError.
 
 Every query is one lookup by lowering vector, multiplicity_at(lam, u) at
 mu = lam - u.alpha, u being the memo's own key, so callers that hold u build
@@ -93,28 +95,52 @@ def positive_roots(n: int, degree_bound: int) -> tuple[PositiveRoot, ...]:
 _memo: dict[Weight, tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
 
 
-def _terms(plam: tuple[int, ...], u: tuple[int, ...], roots, reduced) -> list[tuple[int, tuple[int, ...]]]:
-    """The nonzero terms of the Freudenthal sum at mu = lam - u.alpha, as
-    (coefficient, lowering vector of the dominant representative of mu + k alpha).
+def _weyl_order(n: int, J) -> int:
+    """|W_J| for a proper subset J of the n-cycle: the product of (m+1)! over
+    its arcs of m nodes, as the factor r+1 at the r-th node of each arc."""
+    start = next(i for i in range(n) if i not in J)
+    order, run = 1, 0
+    for i in range(start + 1, start + n):
+        run = run + 1 if i % n in J else 0
+        order *= run + 1
+    return order
 
-    roots[k] is the root table of degree k <= u_0, and reduced(u2) is
-    dominant_lowering(plam, u2) memoized for one evaluation.  Terms with
-    coefficient zero, or whose mu + k alpha is not a weight of L(lam), are left out.
+
+@cache
+def _orbit_roots(n: int, J: frozenset, k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The J-dominant positive roots of degree k, one per W_J-orbit, as
+    (coeffs, weight, (alpha, alpha)): weight |O| on Delta_J (support in J), else
+    2 mult(alpha) |O|, for |O| = |W_J| / |W_J'| with W_J' the stabilizer of alpha."""
+    order = _weyl_order(n, J)
+    out = []
+    for e, multiplicity in _roots_of_degree(n, k):
+        ce = cartan_apply(e)
+        if all(ce[j] >= 0 for j in J):
+            size = order // _weyl_order(n, {j for j in J if not ce[j]})
+            in_j = all(i in J for i, x in enumerate(e) if x)
+            out.append((e, size if in_j else 2 * multiplicity * size, 2 if any(ce) else 0))
+    return tuple(out)
+
+
+def _terms(plam: tuple[int, ...], u: tuple[int, ...], tables, reduced) -> list[tuple[int, tuple[int, ...]]]:
+    """The nonzero terms of the orbit sum at the dominant nu = lam - u.alpha, as
+    (coefficient, lowering vector of the dominant representative of nu + k alpha).
+    tables(J) lists _orbit_roots(n, J, k) by degree k (those with k <= u_0 can
+    contribute); reduced is dominant_lowering(plam, .) memoized per evaluation.
     """
-    p = [x - y for x, y in zip(plam, cartan_apply(u))]  # <mu, h_i>
+    p = [x - y for x, y in zip(plam, cartan_apply(u))]  # <nu, h_i>
     terms = []
-    for root in chain.from_iterable(roots[: u[0] + 1]):
-        e = root.coeffs
-        # (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha) with (mu, alpha)
-        # = sum_i e_i <mu, h_i>, for each k that keeps u - k e >= 0
+    J = frozenset([j for j, x in enumerate(p) if not x])
+    for e, weight, norm in chain.from_iterable(tables(J)[: u[0] + 1]):
+        # (nu + k alpha, alpha) = (nu, alpha) + k (alpha, alpha) with (nu, alpha)
+        # = sum_i e_i <nu, h_i>, for each k that keeps u - k e >= 0
         pairing = sum([x * y for x, y in zip(e, p)])
-        norm = 0 if min(e) == max(e) else 2
         for k in range(1, min([x // y for x, y in zip(u, e) if y]) + 1):
             pairing += norm
             if pairing:
                 v = reduced(tuple([x - k * y for x, y in zip(u, e)]))
                 if v is not None:
-                    terms.append((root.multiplicity * pairing, v))
+                    terms.append((weight * pairing, v))
     return terms
 
 
@@ -122,7 +148,7 @@ def _solve(plam: tuple[int, ...], u: tuple[int, ...], terms, memo) -> int:
     # |lam+rho|^2 - |mu+rho|^2 = 2 sum u_j (<lam,h_j> + 1) - u^T C u
     au = cartan_apply(u)
     denom = 2 * sum(uj * (pj + 1) for uj, pj in zip(u, plam)) - sum(ui * aui for ui, aui in zip(u, au))
-    rhs = 2 * sum(coef * memo[v] for coef, v in terms)
+    rhs = sum(coef * memo[v] for coef, v in terms)
     # nu = lam - u.alpha is dominant and u >= 0 is nonzero, so the denominator
     # sum_j u_j (<lam,h_j> + <nu,h_j> + 2) is positive
     if denom <= 0 or rhs % denom:
@@ -136,11 +162,13 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
 
     Every term of the sum at a dominant nu reduces to a dominant weight
     strictly above nu, so an explicit stack that pushes the missing ones
-    first finishes with no cycle; each entry's terms are built once.
+    first finishes with no cycle and no interpreter recursion limit.  Each
+    entry's terms are built once, from the root tables of degree <= top_0
+    (every u pushed is <= top).
     """
     stack = [top]
     pending: dict[tuple[int, ...], list] = {}
-    roots = [_roots_of_degree(len(top), k) for k in range(top[0] + 1)]  # each u pushed is <= top
+    tables = cache(lambda J: [_orbit_roots(len(top), J, k) for k in range(top[0] + 1)])
     reduced = cache(partial(dominant_lowering, plam))
     while stack:
         u = stack[-1]
@@ -149,7 +177,7 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
             continue
         terms = pending.get(u)
         if terms is None:
-            terms = pending[u] = _terms(plam, u, roots, reduced)
+            terms = pending[u] = _terms(plam, u, tables, reduced)
             missing = [v for _, v in terms if v not in memo]
             if missing:
                 stack.extend(missing)

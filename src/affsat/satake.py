@@ -17,7 +17,7 @@ from collections import namedtuple
 from itertools import product
 
 from . import crystal
-from .cartan import Weight, cartan_apply, highest_pairings, lowering_vector
+from .cartan import Weight, cartan_apply, check_box, highest_pairings, lowering_vector
 
 
 class Stratum(namedtuple("Stratum", "kappa k regular_locus_empty")):
@@ -71,11 +71,13 @@ def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> li
     kept only when include_empty is set.  Sorted by height of lambda - kappa,
     then by the lowering vector, then by k.  Empty when mu is not below
     lambda (v = lambda - mu is off the root lattice or has a negative entry).
+    A box 0 <= c <= v of more than DEFAULT_NODE_CAP points raises BoxCapError.
     """
     plam = highest_pairings(lam)
     v = lowering_vector(lam, mu)
     if v is None or any(x < 0 for x in v):
         return []
+    check_box(v)
     level_one = lam.level == 1
     # product yields c in lexicographic order, so a stable sort by height
     # orders the kept c by (height, c)

@@ -1,7 +1,9 @@
+import functools
 import itertools
 from collections import Counter
 
-from affsat import Weight, generate_crystal, lowering_vector
+from affsat import Weight, generate_crystal, lowering_vector, positive_roots
+from affsat.cartan import cartan_apply, dominant_lowering, highest_pairings
 
 
 def all_partitions(max_cells):
@@ -90,3 +92,37 @@ def graph_branching(lam, mu, i):
     highest = Counter(u[i] - c[i] for c, e in zip(graph.cvecs, graph.eps(i))
                       if e == 0 and c[:i] == u[:i] and c[i + 1 :] == u[i + 1 :])
     return dict(sorted(highest.items()))
+
+
+def full_root_freudenthal(lam):
+    """u -> mult(lam - u.alpha) by the Freudenthal sum over every positive root
+    of degree <= u_0, one term per root and each target reduced to the
+    dominant chamber: the recursion as it ran before it summed once per
+    stabilizer orbit, kept as the orbit sum's oracle.  Small boxes only: it
+    recurses in Python and memoizes per call."""
+    plam = highest_pairings(lam)
+
+    @functools.cache
+    def at_dominant(u):
+        if not any(u):
+            return 1
+        p = [a - b for a, b in zip(plam, cartan_apply(u))]
+        total = 0
+        for e, multiplicity in positive_roots(lam.n, u[0]):
+            norm = 0 if min(e) == max(e) else 2
+            pairing = sum(x * y for x, y in zip(e, p))
+            k = 1
+            while all(x >= k * y for x, y in zip(u, e)):
+                pairing += norm
+                total += multiplicity * pairing * mult(tuple(x - k * y for x, y in zip(u, e)))
+                k += 1
+        denom = 2 * sum(x * (y + 1) for x, y in zip(u, plam)) - sum(
+            x * y for x, y in zip(u, cartan_apply(u)))
+        assert denom > 0 and 2 * total % denom == 0, (lam, u)
+        return 2 * total // denom
+
+    def mult(u):
+        v = dominant_lowering(plam, u)
+        return 0 if v is None else at_dominant(v)
+
+    return mult

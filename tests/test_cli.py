@@ -501,6 +501,24 @@ def test_freudenthal_depth_guard_exits_3(command):
     assert "crystal generation" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv,box,points", [
+    ("branch -n 2 -w 1,0 -v 99999999,99999999 -i 0", "99999999,", 10**8),
+    ("tensor -n 2 --w1 1,0 --w2 1,0 --budget 100000,100000", "100000, 100000", 100001**2),
+    ("leaves -n 2 -w 1,0 -v 100000,100000", "100000, 100000", 100001**2),
+    ("mult -n 2 --w1 1,0 --w2 0,1 -v 3000,3000", "3000, 3000", 3001**2),
+    ("fixed -n 2 --w1 1,0 --w2 0,1 -v 3000,3000", "3000, 3000", 3001**2),
+])
+def test_box_walk_over_the_cap_exits_3(argv, box, points):
+    # Each walk is counted before its first point: the Levi string at node i
+    # (u_i + 1 points), the tensor or leaves box, the splittings box of u.
+    proc = subprocess.run([*AFFSAT, *argv.split()], capture_output=True, text=True,
+                          env=SRC_ENV, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        f"affsat: walking the box ({box}) would visit {points} points, "
+        "over the node cap of 5000000"]
+
+
 def test_check_reports_disagreement(capsys, monkeypatch):
     from affsat import freudenthal
 

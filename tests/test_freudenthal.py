@@ -19,8 +19,9 @@ from affsat import (
     positive_roots,
 )
 from affsat import freudenthal
+from affsat.cartan import cartan_apply
 
-from conftest import coloured_partitions, dominant_bases, lowered
+from conftest import coloured_partitions, dominant_bases, full_root_freudenthal, lowered
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,6 +103,111 @@ def test_root_tables_grow_linearly_with_depth():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["161", str(3 * 160 + 1), "161"]
+
+
+ORBIT_TABLE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from affsat import freudenthal, fundamental_weight
+tables = freudenthal._orbit_roots
+keys = set()
+
+def recorder(n, J, k):
+    keys.add((n, J, k))
+    return tables(n, J, k)
+
+freudenthal._orbit_roots = recorder
+for lam, d in [(fundamental_weight(2, 0), 160), (fundamental_weight(3, 0), 40)]:
+    keys.clear()
+    freudenthal.freudenthal_multiplicity(lam, lam.lowered((d,) * lam.n))
+    print(sorted({tuple(sorted(J)) for _, J, _ in keys}), len(keys),
+          sum(len(tables(*key)) for key in keys))
+"""
+
+
+def test_orbit_tables_grow_linearly_with_depth():
+    # Every dominant Lambda_0 - d delta has J = {1..n-1}, so the recursion
+    # keeps one table per degree 0..d, and W_J-orbit representatives only:
+    # per degree k >= 1, k delta and one real root (at n = 2 k delta +
+    # alpha_1, against the three of _roots_of_degree), and at degree 0 one
+    # finite root.
+    proc = subprocess.run(
+        [sys.executable, "-c", ORBIT_TABLE_SCRIPT, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"[(1,)] 161 {2 * 160 + 1}",
+        f"[(1, 2)] 41 {2 * 40 + 1}",
+    ]
+
+
+def _orbit(x, J, reflect):
+    """The orbit of x under the reflections reflect(., j), j in J."""
+    seen, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for j in J:
+            z = reflect(y, j)
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return seen
+
+
+def _reflect_root(e, j):
+    """s_j alpha = alpha - <alpha, h_j> alpha_j on a coefficient vector."""
+    return e[:j] + (e[j] - cartan_apply(e)[j],) + e[j + 1 :]
+
+
+def _reflect_pairings(p, j):
+    """s_j on the pairings <mu, h_i> of a weight mu."""
+    q = list(p)
+    q[j] = -p[j]
+    q[j - 1] += p[j]
+    q[(j + 1) % len(p)] += p[j]
+    return tuple(q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_tables_match_explicit_orbits(n):
+    # For every proper J: |W_J| is the orbit size of the regular rho, and
+    # each positive root of degree <= 2 lies in the W_J-orbit of exactly one
+    # J-dominant root, the table entry weighted |O| on Delta_J and
+    # 2 mult(alpha) |O| off it; the tables hold the J-dominant roots only.
+    roots = {r.coeffs: r.multiplicity for r in positive_roots(n, 2 + n)}
+    for size in range(n):
+        for J in map(frozenset, itertools.combinations(range(n), size)):
+            assert freudenthal._weyl_order(n, J) == len(_orbit((1,) * n, J, _reflect_pairings))
+            tables = {k: {e: (w, norm) for e, w, norm in freudenthal._orbit_roots(n, J, k)}
+                      for k in range(2 + n + 1)}
+            for e in [e for e in roots if e[0] <= 2]:
+                # W_J permutes the positive roots off Delta_J, and all of Delta_J
+                orbit = _orbit(e, J, _reflect_root)
+                on_j = all(i in J for i, x in enumerate(e) if x)
+                assert {x if min(x) >= 0 or not on_j else tuple(-y for y in x)
+                        for x in orbit} <= roots.keys(), (J, e)
+                top = [x for x in orbit if all(cartan_apply(x)[j] >= 0 for j in J)]
+                assert len(top) == 1, (J, e, top)
+                rep = top[0]
+                want = len(orbit) if on_j else 2 * roots[rep] * len(orbit)
+                assert tables[rep[0]][rep] == (want, 0 if len(set(rep)) == 1 else 2), (J, e)
+            for k in range(3):
+                assert set(tables[k]) == {e for e in roots if e[0] == k
+                                          and all(cartan_apply(e)[j] >= 0 for j in J)}, (J, k)
+
+
+# Level <= 3 lambdas, every u in the box [0, b]^n: most weights below are
+# not dominant.
+ORACLE_BOXES = [(2, 8), (3, 4), (4, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("n,b", ORACLE_BOXES)
+def test_orbit_sum_matches_the_full_root_sum(n, b):
+    for lam in dominant_bases(n, 3):
+        oracle = full_root_freudenthal(lam)
+        for u in itertools.product(range(b + 1), repeat=n):
+            assert freudenthal.multiplicity_at(lam, u) == oracle(u), (lam, u)
 
 
 def test_positive_roots_validation():
@@ -194,7 +300,8 @@ def test_each_weight_reduced_once_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(freudenthal, "dominant_lowering", recorder)
     lam = Weight(3, (1, 0, 0), (5, 5, 5))  # Lambda_0 - 5 delta: a key no other test fills
-    assert freudenthal_multiplicity(lam, lowered(lam, (10, 10, 10))) == coloured_partitions(2, 10)
+    # deep enough for more than 100 reductions under the orbit sum (120)
+    assert freudenthal_multiplicity(lam, lowered(lam, (14, 14, 14))) == coloured_partitions(2, 14)
     assert len(calls) > 100
     assert len(set(calls)) == len(calls)
 
