@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import prod
 from operator import index as as_int
 
@@ -308,10 +308,31 @@ def lowering_vector(lam: Weight, mu: Weight) -> tuple[int, ...] | None:
 
 def check_box(box: Sequence[int]) -> None:
     """Refuse, before it starts, a walk over the points 0 <= c <= box when
-    there are more than DEFAULT_NODE_CAP of them."""
-    count = prod(x + 1 for x in box)
+    there are more than DEFAULT_NODE_CAP of them (none when an entry is
+    negative)."""
+    count = prod(max(x + 1, 0) for x in box)
     if count > DEFAULT_NODE_CAP:
         raise BoxCapError(DEFAULT_NODE_CAP, box, count)
+
+
+def box_strides(box: Sequence[int]) -> tuple[int, ...]:
+    """The offset of a unit step at each node in a walk over 0 <= c <= box in
+    itertools.product order: point k of the walk is sum_i c_i * strides_i."""
+    strides = [1] * len(box)
+    for i in range(len(box) - 1, 0, -1):
+        strides[i - 1] = strides[i] * (box[i] + 1)
+    return tuple(strides)
+
+
+def box_pairings(p: Sequence[int], box: Sequence[int]):
+    """(c, pairings of lam - c.alpha) for every 0 <= c <= box, in
+    itertools.product order, where p are the pairings of lam: the one walk of
+    a box that reads the dominance of its points."""
+    n = len(p)
+    nodes = range(n)
+    for c in product(*[range(b + 1) for b in box]):
+        # <lam - c.alpha, h_i> = p_i - (C c)_i; c[i + 1 - n] is c_{i+1} mod n
+        yield c, [p[i] - 2 * c[i] + c[i - 1] + c[i + 1 - n] for i in nodes]
 
 
 def dominance_leq(nu: Weight, mu: Weight) -> bool:

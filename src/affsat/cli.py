@@ -5,7 +5,8 @@ document to stdout and keeps diagnostics on stderr.  Exit codes: 0 success,
 2 validation error, 3 node-cap exceeded (crystal and check, which build a
 graph; mult, fixed, branch and tensor answer by Freudenthal and the Weyl
 group, whose recursion refuses to store more weights than the default cap,
-and whose box walks refuse to visit more points than it), out of memory or
+and whose box walks, check's included, refuse to visit more points than
+it; leaves refuses to list more strata than it), out of memory or
 a box entry of 2^63 or more, 1 internal
 inconsistency (check's two routes disagreed, or a multiplicity failed a
 consistency check).
@@ -41,7 +42,8 @@ import re
 import sys
 from itertools import product
 
-from .cartan import CONVENTION_ID, DEFAULT_NODE_CAP, Weight, canonical_dumps, weights_from_dims
+from .cartan import (CONVENTION_ID, DEFAULT_NODE_CAP, Weight, canonical_dumps, check_box,
+                     weights_from_dims)
 from .errors import ConsistencyError, DomainError, ResourceCapError
 
 SCHEMA_VERSION = 2
@@ -316,14 +318,14 @@ def _cmd_check(args) -> tuple[str, int]:
 
     lam = _weight(args, "-w", "--lam")
     budget = (args.depth,) * lam.n
+    check_box(budget)
     graph = crystal.generate_crystal(lam, budget, node_cap=args.node_cap)
     counts = graph.weight_counts()
+    table = freudenthal.box_multiplicities(lam, budget)
+    compared = len(table)
     disagreements = []
-    compared = 0
-    for u in product(*(range(b + 1) for b in budget)):
-        compared += 1
+    for u, want in zip(product(*(range(b + 1) for b in budget)), table):
         got = counts.get(u, 0)
-        want = freudenthal.multiplicity_at(lam, u)
         if got != want:
             disagreements.append({"c": list(u), "crystal": got, "freudenthal": want})
     ok = not disagreements

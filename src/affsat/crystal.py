@@ -34,12 +34,16 @@ are materialized only at the API edge (CrystalGraph.words, node()).
 The multiplicity queries build no graph: weight multiplicities and tensor
 splittings are Freudenthal multiplicities, asked by the lowering vectors a
 query holds (freudenthal.multiplicity_at), Levi branching their sl2 string
-differences, and tensor decomposition the affine Racah-Speiser sum.  Tier-1
-holds them to the graph routes they replaced (node counts, e_i-killed
-nodes, the tensor-product rule over B(lambda2)); `affsat check` holds the
-node counts to Freudenthal.  Each of them counts the points of the box it
-walks (the sl2 string, the tensor budget, the splittings of u) before the
-first, and refuses more than DEFAULT_NODE_CAP (cartan.check_box).
+differences, and tensor decomposition the affine Racah-Speiser sum.  The
+tensor sum and the splittings read each factor's multiplicities off one
+flat table of their box (freudenthal.box_multiplicities), by offset, and
+the tensor sum finds its dominant kappa on one walk of the box with its
+pairings (cartan.box_pairings).  Tier-1 holds them to the graph routes they
+replaced (node counts, e_i-killed nodes, the tensor-product rule over
+B(lambda2)); `affsat check` holds the node counts to Freudenthal.  Each of
+them counts the points of the box it walks (the sl2 string, the tensor
+budget, the splittings of u) before the first, and refuses more than
+DEFAULT_NODE_CAP (cartan.check_box).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from collections import Counter, namedtuple
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import product
+from operator import le, mul, sub
 
 from . import freudenthal
 from ._backend import kernels
@@ -57,8 +62,9 @@ from .cartan import (
     CONVENTION_ID,
     DEFAULT_NODE_CAP,
     Weight,
+    box_pairings,
+    box_strides,
     canonical_dumps,
-    cartan_apply,
     check_box,
     dominant_lowering,
     highest_pairings,
@@ -396,13 +402,15 @@ def tensor_highest_weights(lam1: Weight, lam2: Weight, budget) -> dict[Weight, i
     base = lam1 + lam2
     budget = _validate_budget(lam1.n, budget)
     check_box(budget)
-    orbit = weyl_orbit_lowerings([x + 1 for x in plam1], budget)
-    mult = freudenthal.multiplicity_at
+    strides = box_strides(budget)
+    # each orbit point with its offset in the walk: c - d is the point k - off
+    orbit = [(d, sign, sum(map(mul, d, strides)))
+             for d, sign in weyl_orbit_lowerings([x + 1 for x in plam1], budget)]
+    mult2 = freudenthal.box_multiplicities(lam2, budget)
     out = {}
-    for c in product(*(range(b + 1) for b in budget)):
-        if min([a - b for a, b in zip(ptop, cartan_apply(c))]) >= 0:
-            m = sum([sign * mult(lam2, tuple([x - y for x, y in zip(c, d)]))
-                     for d, sign in orbit if all(x <= y for x, y in zip(d, c))])
+    for k, (c, q) in enumerate(box_pairings(ptop, budget)):
+        if min(q) >= 0:
+            m = sum([sign * mult2[k - off] for d, sign, off in orbit if all(map(le, d, c))])
             if m:
                 out[base.lowered(c)] = m
     return out
@@ -423,15 +431,16 @@ def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight) -> list[tuple[tupl
     if u is None or dominant_lowering(highest_pairings(base), u) is None:
         return []
     check_box(u)
-    mult = freudenthal.multiplicity_at
+    mult1 = freudenthal.box_multiplicities(lam1, u)
+    # u - s is as far from the last point of the box as s is from the first
+    mult2 = freudenthal.box_multiplicities(lam2, u)
     out = []
-    for s in product(*(range(x + 1) for x in u)):
-        m1 = mult(lam1, s)
+    for k, s in enumerate(product(*(range(x + 1) for x in u))):
+        m1 = mult1[k]
         if m1:
-            rest = tuple([a - b for a, b in zip(u, s)])
-            m2 = mult(lam2, rest)
+            m2 = mult2[-1 - k]
             if m2:
-                out.append((s, rest, m1, m2))
+                out.append((s, tuple(map(sub, u, s)), m1, m2))
     return out
 
 

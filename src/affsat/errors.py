@@ -50,5 +50,13 @@ class BoxCapError(ResourceCapError):
     message = "walking the box {budget} would visit {count} points, over the node cap of {cap}"
 
 
+class StrataCapError(ResourceCapError):
+    """Listing the symplectic-leaf strata below a box would give more labels
+    than the node cap; budget is the box."""
+
+    message = ("listing the strata of the box {budget} would give {count} labels, "
+               "over the node cap of {cap}")
+
+
 class ConsistencyError(AffsatError, RuntimeError):
     """Two routes that must agree did not; signals a bug, not bad input."""

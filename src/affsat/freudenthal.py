@@ -33,11 +33,16 @@ checked when lambda first reaches the memo), else NoHighestWeightError.
 
 Every query is one lookup by lowering vector, multiplicity_at(lam, u) at
 mu = lam - u.alpha, u being the memo's own key, so callers that hold u build
-no Weight.  Results are memoized per (lambda, dominant nu) for the life of
-the process, reductions only per evaluation.  The recursion at a dominant
-lam - nu.alpha stores lam - nu.alpha + k delta for every k <= min(nu) (the
-imaginary-root terms pair to the level, which is positive), so a miss with
-min(nu) >= DEFAULT_NODE_CAP raises RecursionCapError before any work.
+no Weight.  A caller that needs every point of a box 0 <= c <= b asks
+box_multiplicities(lam, b) for one flat list in itertools.product order:
+a dominant point is one lookup, and any other copies the entry of its
+reflection s_i mu at a negative pairing, which lies earlier in the same
+walk, so no point of the box runs a reflection loop.  Results are memoized
+per (lambda, dominant nu) for the life of the process, reductions only per
+evaluation.  The recursion at a dominant lam - nu.alpha stores
+lam - nu.alpha + k delta for every k <= min(nu) (the imaginary-root terms
+pair to the level, which is positive), so a miss with min(nu) >=
+DEFAULT_NODE_CAP raises RecursionCapError before any work.
 Every entry is a deterministic function of its key, so concurrent callers
 can at worst compute one twice, and results do not depend on call order.
 """
@@ -45,12 +50,15 @@ can at worst compute one twice, and results do not depend on call order.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import cache, partial
 from itertools import chain
 
 from .cartan import (
     DEFAULT_NODE_CAP,
     Weight,
+    box_pairings,
+    box_strides,
     cartan_apply,
     check_rank,
     dominant_lowering,
@@ -187,6 +195,15 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
     return memo[top]
 
 
+def _entry(lam: Weight) -> tuple[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """lam's memo entry (its pairings and its memo), made and lam checked on
+    first use."""
+    entry = _memo.get(lam)
+    if entry is None:
+        entry = _memo.setdefault(lam, (highest_pairings(lam), {(0,) * lam.n: 1}))
+    return entry
+
+
 def multiplicity_at(lam: Weight, u: tuple[int, ...] | None) -> int:
     """Multiplicity of lam - sum_i u_i alpha_i in the highest-weight module
     for lambda: the one memo lookup every query makes.
@@ -196,10 +213,7 @@ def multiplicity_at(lam: Weight, u: tuple[int, ...] | None) -> int:
     must be dominant of level >= 1, checked on its first lookup.  A memo
     miss at nu with min(nu) >= DEFAULT_NODE_CAP raises RecursionCapError.
     """
-    entry = _memo.get(lam)
-    if entry is None:
-        entry = _memo.setdefault(lam, (highest_pairings(lam), {(0,) * lam.n: 1}))
-    plam, memo = entry
+    plam, memo = _entry(lam)
     if u is None:
         return 0
     m = memo.get(u)  # the memo holds only dominant weights: a hit needs no reduction
@@ -223,3 +237,27 @@ def freudenthal_multiplicity(lam: Weight, mu: Weight) -> int:
     lam must be dominant of level >= 1.
     """
     return multiplicity_at(lam, lowering_vector(lam, mu))
+
+
+def box_multiplicities(lam: Weight, box: Sequence[int]) -> list[int]:
+    """multiplicity_at(lam, c) for every 0 <= c <= box, as one flat list in
+    itertools.product order (cartan.box_pairings), entry k at point k.
+
+    A dominant point is one memo lookup.  At a point mu with a negative
+    pairing x at node i, s_i mu = mu - x.alpha_i has the same multiplicity
+    and lowering coefficient c_i + x < c_i, so it is the entry x * stride_i
+    back, already written; 0 when c_i + x < 0, as s_i mu is then not below
+    lam.  So no point runs a reflection loop.
+    """
+    plam, memo = _entry(lam)
+    strides = box_strides(box)
+    out: list[int] = []
+    for c, q in box_pairings(plam, box):
+        x = min(q)
+        if x >= 0:
+            m = memo.get(c)
+            out.append(multiplicity_at(lam, c) if m is None else m)
+        else:
+            i = q.index(x)
+            out.append(out[len(out) + x * strides[i]] if c[i] + x >= 0 else 0)
+    return out

@@ -8,16 +8,22 @@ a fixed point exists iff the weight space is nonzero, attracting components
 are counted by the weight multiplicity, leaves are labelled by a dominant
 weight kappa between mu and lambda - |k| delta together with a partition k,
 and tensor fixed points are the weight splittings with nonzero factors.
-Tier-1 holds these counts to crystal node counts.  Pure functions.
+The dominant kappa are read off one walk of the box with its pairings
+(cartan.box_pairings), and the strata over them are counted from partition
+numbers before any is listed: more than DEFAULT_NODE_CAP raises
+StrataCapError.  Tier-1 holds these counts to crystal node counts.  Pure
+functions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import accumulate
 
 from . import crystal
-from .cartan import Weight, cartan_apply, check_box, highest_pairings, lowering_vector
+from .cartan import (DEFAULT_NODE_CAP, Weight, box_pairings, check_box, highest_pairings,
+                     lowering_vector)
+from .errors import StrataCapError
 
 
 class Stratum(namedtuple("Stratum", "kappa k regular_locus_empty")):
@@ -62,6 +68,46 @@ def attracting_component_count(lam: Weight, mu: Weight) -> int:
     return crystal.weight_multiplicity(lam, mu)
 
 
+def _kept_kappas(lam: Weight, mu: Weight, include_empty: bool):
+    """(v, the c with dominant kappa = lam - c.alpha kept by enumerate_leaves,
+    sorted by (height, c)); v is None and no c is kept when mu is not below
+    lam.  A box 0 <= c <= v of more than DEFAULT_NODE_CAP points raises
+    BoxCapError."""
+    plam = highest_pairings(lam)
+    v = lowering_vector(lam, mu)
+    if v is None or any(x < 0 for x in v):
+        return None, []
+    check_box(v)
+    level_one = lam.level == 1
+    # the walk yields c in lexicographic order, so a stable sort by height
+    # orders the kept c by (height, c)
+    return v, sorted((c for c, q in box_pairings(plam, v)
+                      if min(q) >= 0 and (include_empty or not level_one or c == v)), key=sum)
+
+
+def _strata_count(kept) -> int:
+    """The number of strata over the kept c: the sum of P(min c), P(m) the
+    number of partitions with at most m cells, a running sum of partition
+    numbers p(s) from Euler's pentagonal recurrence
+    p(s) = sum_{j >= 1} (-1)^(j+1) (p(s - j(3j-1)/2) + p(s - j(3j+1)/2))."""
+    p = [1]
+    for s in range(1, max(map(min, kept), default=0) + 1):
+        total, j = 0, 1
+        while (g := j * (3 * j - 1) // 2) <= s:
+            term = p[s - g] + (p[s - g - j] if g + j <= s else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+    totals = list(accumulate(p))
+    return sum([totals[min(c)] for c in kept])
+
+
+def count_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> int:
+    """len(enumerate_leaves(lam, mu, include_empty)), counted without listing
+    a stratum."""
+    return _strata_count(_kept_kappas(lam, mu, include_empty)[1])
+
+
 def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> list[Stratum]:
     """All stratum labels (kappa, k) with mu <= kappa <= lambda - |k| delta.
 
@@ -71,22 +117,18 @@ def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> li
     kept only when include_empty is set.  Sorted by height of lambda - kappa,
     then by the lowering vector, then by k.  Empty when mu is not below
     lambda (v = lambda - mu is off the root lattice or has a negative entry).
-    A box 0 <= c <= v of more than DEFAULT_NODE_CAP points raises BoxCapError.
+    A box 0 <= c <= v of more than DEFAULT_NODE_CAP points raises
+    BoxCapError, and more than DEFAULT_NODE_CAP strata StrataCapError, both
+    before the first stratum is built.
     """
-    plam = highest_pairings(lam)
-    v = lowering_vector(lam, mu)
-    if v is None or any(x < 0 for x in v):
-        return []
-    check_box(v)
-    level_one = lam.level == 1
-    # product yields c in lexicographic order, so a stable sort by height
-    # orders the kept c by (height, c)
-    kept = sorted((c for c in product(*(range(x + 1) for x in v))
-                   if min([a - b for a, b in zip(plam, cartan_apply(c))]) >= 0
-                   and (include_empty or not level_one or c == v)), key=sum)
+    v, kept = _kept_kappas(lam, mu, include_empty)
+    count = _strata_count(kept)
+    if count > DEFAULT_NODE_CAP:
+        raise StrataCapError(DEFAULT_NODE_CAP, v, count)
     partitions = _partitions(max(map(min, kept), default=0))
     # per m = min(c): the partitions of at most m cells, in lexicographic order
     within = {m: [k for k in partitions if sum(k) <= m] for m in set(map(min, kept))}
+    level_one = lam.level == 1
     return [Stratum(kappa, k, level_one and c != v)
             for c, kappa in zip(kept, map(lam.lowered, kept)) for k in within[min(c)]]
 

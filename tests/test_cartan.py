@@ -29,7 +29,8 @@ from affsat import (
     weight_invariants,
     weights_from_dims,
 )
-from affsat.cartan import _solve_base_shift, cartan_apply, weyl_orbit_lowerings
+from affsat.cartan import (_solve_base_shift, box_pairings, box_strides, cartan_apply,
+                           weyl_orbit_lowerings)
 from affsat.freudenthal import positive_roots
 
 from conftest import dominant_bases, lowered
@@ -408,3 +409,18 @@ def test_weyl_orbit_walk_is_the_denominator(budget):
     walk = weyl_orbit_lowerings((1,) * n, budget)
     assert len({d for d, _ in walk}) == len(walk)
     assert dict(walk) == expected
+
+
+@pytest.mark.parametrize("p,box", [
+    ((1, 0), (4, 3)), ((0, 2), (0, 5)),
+    ((1, 1, 0), (2, 3, 1)), ((0, 0, 3), (3, 0, 2)),
+    ((1, 0, 0, 2), (2, 1, 2, 1)), ((1, 1, 1, 0, 0), (1, 2, 1, 1, 2)),
+])
+def test_box_pairings_walk_the_box_in_product_order(p, box):
+    # the point k of the walk is at sum_i c_i * strides_i
+    walk = list(box_pairings(p, box))
+    assert [c for c, _ in walk] == list(itertools.product(*(range(b + 1) for b in box)))
+    for k, (c, q) in enumerate(walk):
+        assert q == [a - b for a, b in zip(p, cartan_apply(c))], c
+        assert sum(x * s for x, s in zip(c, box_strides(box))) == k
+    assert list(box_pairings(p, (1, -1) + (0,) * (len(p) - 2))) == []

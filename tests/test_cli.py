@@ -162,13 +162,15 @@ def test_tensor_output_pinned(capsys, argv, digest):
 
 
 def test_negative_depth(capsys):
-    # the budget check of crystal generation refuses it, for every command
-    for argv in [("crystal", "-n", "2", "-w", "1,0"),
-                 ("tensor", "-n", "2", "--w1", "1,0", "--w2", "0,1"),
-                 ("check", "-n", "2", "-w", "1,0")]:
-        code, out, err = run_cli(capsys, *argv, "--depth", "-1")
-        assert (code, out) == (2, ""), argv
-        assert len(err.splitlines()) == 1 and "nonnegative" in err, argv
+    # the budget check of crystal generation refuses it, for every command;
+    # a box with a negative entry holds no point, so the box cap passes it
+    commands = [("crystal", "-n", "2", "-w", "1,0"),
+                ("tensor", "-n", "2", "--w1", "1,0", "--w2", "0,1"),
+                ("check", "-n", "2", "-w", "1,0")]
+    for argv, depth in itertools.product(commands, ("-1", "-3000")):
+        code, out, err = run_cli(capsys, *argv, "--depth", depth)
+        assert (code, out) == (2, ""), (argv, depth)
+        assert len(err.splitlines()) == 1 and "nonnegative" in err, (argv, depth)
 
 
 def test_tensor_level_zero_factor(capsys):
@@ -507,10 +509,12 @@ def test_freudenthal_depth_guard_exits_3(command):
     ("leaves -n 2 -w 1,0 -v 100000,100000", "100000, 100000", 100001**2),
     ("mult -n 2 --w1 1,0 --w2 0,1 -v 3000,3000", "3000, 3000", 3001**2),
     ("fixed -n 2 --w1 1,0 --w2 0,1 -v 3000,3000", "3000, 3000", 3001**2),
+    ("check -n 2 -w 1,0 --depth 3000", "3000, 3000", 3001**2),
 ])
 def test_box_walk_over_the_cap_exits_3(argv, box, points):
     # Each walk is counted before its first point: the Levi string at node i
-    # (u_i + 1 points), the tensor or leaves box, the splittings box of u.
+    # (u_i + 1 points), the tensor or leaves box, the splittings box of u,
+    # check's box, counted before its graph is built.
     proc = subprocess.run([*AFFSAT, *argv.split()], capture_output=True, text=True,
                           env=SRC_ENV, timeout=10)
     assert (proc.returncode, proc.stdout) == (3, "")
@@ -519,11 +523,22 @@ def test_box_walk_over_the_cap_exits_3(argv, box, points):
         "over the node cap of 5000000"]
 
 
+def test_too_many_strata_exit_3():
+    # a box of 132,651 points holding 14,390,273 strata: counted, not listed
+    proc = subprocess.run([*AFFSAT, "leaves", "-n", "3", "-w", "1,1,0", "-v", "50,50,50"],
+                          capture_output=True, text=True, env=SRC_ENV, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "affsat: listing the strata of the box (50, 50, 50) would give 14390273 labels, "
+        "over the node cap of 5000000"]
+
+
 def test_check_reports_disagreement(capsys, monkeypatch):
     from affsat import freudenthal
 
-    lookup = freudenthal.multiplicity_at
-    monkeypatch.setattr(freudenthal, "multiplicity_at", lambda lam, u: lookup(lam, u) + 1)
+    table = freudenthal.box_multiplicities
+    monkeypatch.setattr(freudenthal, "box_multiplicities",
+                        lambda lam, box: [m + 1 for m in table(lam, box)])
     code, out, err = run_cli(capsys, "check", "-n", "2", "-w", "1,0", "--depth", "1")
     doc = json.loads(out)
     assert (code, doc["status"], doc["weights_compared"]) == (1, "FAIL", 4)

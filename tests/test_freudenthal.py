@@ -210,6 +210,19 @@ def test_orbit_sum_matches_the_full_root_sum(n, b):
             assert freudenthal.multiplicity_at(lam, u) == oracle(u), (lam, u)
 
 
+@pytest.mark.parametrize("n,b", ORACLE_BOXES)
+def test_box_multiplicities_are_the_lookups(n, b):
+    # every point of the box, dominant, reflected back into the box or below
+    # zero, for lambda and lambda - 2 delta; most points are off the weight set
+    box = (b,) * n
+    for lam in dominant_bases(n, 3):
+        for top in (lam, lowered(lam, (2,) * n)):
+            table = freudenthal.box_multiplicities(top, box)
+            assert isinstance(table, list)
+            assert table == [freudenthal.multiplicity_at(top, u)
+                             for u in itertools.product(range(b + 1), repeat=n)], top
+
+
 def test_positive_roots_validation():
     with pytest.raises(DomainError):
         positive_roots(2, -1)

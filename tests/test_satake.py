@@ -19,6 +19,7 @@ from affsat import (
 )
 from affsat import satake
 from affsat.cartan import cartan_apply, highest_pairings
+from affsat.errors import StrataCapError
 
 from conftest import coloured_partitions, dominant_bases, graph_multiplicity, lowered
 
@@ -152,8 +153,29 @@ def test_leaves_match_the_sorted_reference(n, top):
             everything = _reference_leaves(lam, mu, include_empty=True)
             assert enumerate_leaves(lam, mu, include_empty=True) == everything, (lam, v)
             # the reference filters while it enumerates, before its sort
-            assert enumerate_leaves(lam, mu) == [
-                s for s in everything if not s.regular_locus_empty], (lam, v)
+            kept = [s for s in everything if not s.regular_locus_empty]
+            assert enumerate_leaves(lam, mu) == kept, (lam, v)
+            # and the count, taken before any stratum is listed
+            assert satake.count_leaves(lam, mu, include_empty=True) == len(everything), (lam, v)
+            assert satake.count_leaves(lam, mu) == len(kept), (lam, v)
+
+
+def test_leaf_count_at_the_reference_depths():
+    lam = Weight(3, (1, 1, 0), (0, 0, 0))
+    assert [satake.count_leaves(lam, lowered(lam, (d,) * 3)) for d in (10, 20, 30, 50)] == [
+        707, 19_246, 247_329, 14_390_273]
+
+
+def test_too_many_strata_refused_before_partitions(monkeypatch):
+    def never(cells):
+        raise AssertionError("partitions built over the cap")
+
+    monkeypatch.setattr(satake, "_partitions", never)
+    monkeypatch.setattr(satake, "DEFAULT_NODE_CAP", 706)
+    lam = Weight(3, (1, 1, 0), (0, 0, 0))
+    with pytest.raises(StrataCapError) as info:
+        enumerate_leaves(lam, lowered(lam, (10, 10, 10)))
+    assert (info.value.cap, info.value.budget, info.value.count) == (706, (10, 10, 10), 707)
 
 
 def test_partitions_built_only_up_to_a_kept_kappa(monkeypatch):
