@@ -306,13 +306,14 @@ def lowering_vector(lam: Weight, mu: Weight) -> tuple[int, ...] | None:
     return tuple(cm - cl - si for cm, cl, si in zip(mu.c, lam.c, s))
 
 
-def check_box(box: Sequence[int]) -> None:
-    """Refuse, before it starts, a walk over the points 0 <= c <= box when
-    there are more than DEFAULT_NODE_CAP of them (none when an entry is
-    negative)."""
+def box_points(box: Sequence[int]):
+    """The points 0 <= c <= box in itertools.product order: the one walk of a
+    box, refused before its first point with BoxCapError when there are more
+    than DEFAULT_NODE_CAP of them (none when an entry is negative)."""
     count = prod(max(x + 1, 0) for x in box)
     if count > DEFAULT_NODE_CAP:
         raise BoxCapError(DEFAULT_NODE_CAP, box, count)
+    return product(*[range(b + 1) for b in box])
 
 
 def box_strides(box: Sequence[int]) -> tuple[int, ...]:
@@ -327,12 +328,12 @@ def box_strides(box: Sequence[int]) -> tuple[int, ...]:
 def box_pairings(p: Sequence[int], box: Sequence[int]):
     """(c, pairings of lam - c.alpha) for every 0 <= c <= box, in
     itertools.product order, where p are the pairings of lam: the one walk of
-    a box that reads the dominance of its points."""
+    a box that reads the dominance of its points, counted on this call."""
     n = len(p)
     nodes = range(n)
-    for c in product(*[range(b + 1) for b in box]):
-        # <lam - c.alpha, h_i> = p_i - (C c)_i; c[i + 1 - n] is c_{i+1} mod n
-        yield c, [p[i] - 2 * c[i] + c[i - 1] + c[i + 1 - n] for i in nodes]
+    # <lam - c.alpha, h_i> = p_i - (C c)_i; c[i + 1 - n] is c_{i+1} mod n
+    return ((c, [p[i] - 2 * c[i] + c[i - 1] + c[i + 1 - n] for i in nodes])
+            for c in box_points(box))
 
 
 def dominance_leq(nu: Weight, mu: Weight) -> bool:

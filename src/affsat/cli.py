@@ -2,14 +2,14 @@
 
 One query, one document: every command writes exactly one JSON, DOT or TSV
 document to stdout and keeps diagnostics on stderr.  Exit codes: 0 success,
-2 validation error, 3 node-cap exceeded (crystal and check, which build a
-graph; mult, fixed, branch and tensor answer by Freudenthal and the Weyl
-group, whose recursion refuses to store more weights than the default cap,
-and whose box walks, check's included, refuse to visit more points than
-it; leaves refuses to list more strata than it), out of memory or
-a box entry of 2^63 or more, 1 internal
-inconsistency (check's two routes disagreed, or a multiplicity failed a
-consistency check).
+2 validation error, 3 node-cap exceeded (crystal, capped by building, and
+check, refused from its Freudenthal table before its graph is built; mult,
+fixed, branch and tensor answer by Freudenthal and the Weyl group, whose
+recursion refuses to store more weights than the default cap, and whose box
+walks, check's included, refuse to visit more points than it; leaves
+refuses to list more strata than it), out of memory or a box entry of 2^63
+or more, 1 internal inconsistency (check's two routes disagreed, or a
+multiplicity failed a consistency check).
 
 The parser is the contract: each subcommand binds its handler and declares
 exactly the options the handler reads.  Each input is given one way.
@@ -40,9 +40,8 @@ import json
 import os
 import re
 import sys
-from itertools import product
 
-from .cartan import (CONVENTION_ID, DEFAULT_NODE_CAP, Weight, canonical_dumps, check_box,
+from .cartan import (CONVENTION_ID, DEFAULT_NODE_CAP, Weight, box_points, canonical_dumps,
                      weights_from_dims)
 from .errors import ConsistencyError, DomainError, ResourceCapError
 
@@ -318,13 +317,13 @@ def _cmd_check(args) -> tuple[str, int]:
 
     lam = _weight(args, "-w", "--lam")
     budget = (args.depth,) * lam.n
-    check_box(budget)
-    graph = crystal.generate_crystal(lam, budget, node_cap=args.node_cap)
-    counts = graph.weight_counts()
     table = freudenthal.box_multiplicities(lam, budget)
+    if sum(table) > args.node_cap:  # truncation is exact: the graph's node count
+        raise ResourceCapError(args.node_cap, budget, sum(table))
+    counts = crystal.generate_crystal(lam, budget, node_cap=args.node_cap).weight_counts()
     compared = len(table)
     disagreements = []
-    for u, want in zip(product(*(range(b + 1) for b in budget)), table):
+    for u, want in zip(box_points(budget), table):
         got = counts.get(u, 0)
         if got != want:
             disagreements.append({"c": list(u), "crystal": got, "freudenthal": want})

@@ -40,10 +40,10 @@ flat table of their box (freudenthal.box_multiplicities), by offset, and
 the tensor sum finds its dominant kappa on one walk of the box with its
 pairings (cartan.box_pairings).  Tier-1 holds them to the graph routes they
 replaced (node counts, e_i-killed nodes, the tensor-product rule over
-B(lambda2)); `affsat check` holds the node counts to Freudenthal.  Each of
-them counts the points of the box it walks (the sl2 string, the tensor
-budget, the splittings of u) before the first, and refuses more than
-DEFAULT_NODE_CAP (cartan.check_box).
+B(lambda2)); `affsat check` holds the node counts to Freudenthal.  Each box
+they walk (the sl2 string, the tensor budget, the splittings of u) comes
+from cartan.box_points, which counts its points before the first and
+refuses more than DEFAULT_NODE_CAP.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import json
 from collections import Counter, namedtuple
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import product
 from operator import le, mul, sub
 
 from . import freudenthal
@@ -63,9 +62,9 @@ from .cartan import (
     DEFAULT_NODE_CAP,
     Weight,
     box_pairings,
+    box_points,
     box_strides,
     canonical_dumps,
-    check_box,
     dominant_lowering,
     highest_pairings,
     lowering_vector,
@@ -368,14 +367,14 @@ def levi_branching(lam: Weight, mu: Weight, i: int) -> dict[int, int]:
     u = lowering_vector(lam, mu)
     if u is None or any(x < 0 for x in u):
         return {}
-    check_box((u[i],))  # the string mu + k alpha_i, k = u_i .. 0
     table = {}
     above = 0
     pairing = mu.pairing(i)
-    for k in range(u[i], -1, -1):
+    for (t,) in box_points((u[i],)):  # the string mu + k alpha_i, k = u_i - t
+        k = u[i] - t
         if pairing + 2 * k < 0:
             break
-        at = freudenthal.multiplicity_at(lam, u[:i] + (u[i] - k,) + u[i + 1 :])
+        at = freudenthal.multiplicity_at(lam, u[:i] + (t,) + u[i + 1 :])
         if at < above:
             raise ConsistencyError(f"sl2 string at node {i} shrinks at k={k}: {at} < {above}")
         if at > above:
@@ -401,14 +400,14 @@ def tensor_highest_weights(lam1: Weight, lam2: Weight, budget) -> dict[Weight, i
     ptop = [a + b for a, b in zip(plam1, highest_pairings(lam2))]
     base = lam1 + lam2
     budget = _validate_budget(lam1.n, budget)
-    check_box(budget)
+    walk = box_pairings(ptop, budget)
     strides = box_strides(budget)
     # each orbit point with its offset in the walk: c - d is the point k - off
     orbit = [(d, sign, sum(map(mul, d, strides)))
              for d, sign in weyl_orbit_lowerings([x + 1 for x in plam1], budget)]
     mult2 = freudenthal.box_multiplicities(lam2, budget)
     out = {}
-    for k, (c, q) in enumerate(box_pairings(ptop, budget)):
+    for k, (c, q) in enumerate(walk):
         if min(q) >= 0:
             m = sum([sign * mult2[k - off] for d, sign, off in orbit if all(map(le, d, c))])
             if m:
@@ -430,12 +429,11 @@ def tensor_splittings(lam1: Weight, lam2: Weight, mu: Weight) -> list[tuple[tupl
     u = lowering_vector(base, mu)
     if u is None or dominant_lowering(highest_pairings(base), u) is None:
         return []
-    check_box(u)
     mult1 = freudenthal.box_multiplicities(lam1, u)
     # u - s is as far from the last point of the box as s is from the first
     mult2 = freudenthal.box_multiplicities(lam2, u)
     out = []
-    for k, s in enumerate(product(*(range(x + 1) for x in u))):
+    for k, s in enumerate(box_points(u)):
         m1 = mult1[k]
         if m1:
             m2 = mult2[-1 - k]

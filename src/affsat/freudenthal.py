@@ -34,12 +34,13 @@ checked when lambda first reaches the memo), else NoHighestWeightError.
 Every query is one lookup by lowering vector, multiplicity_at(lam, u) at
 mu = lam - u.alpha, u being the memo's own key, so callers that hold u build
 no Weight.  A caller that needs every point of a box 0 <= c <= b asks
-box_multiplicities(lam, b) for one flat list in itertools.product order:
-a dominant point is one lookup, and any other copies the entry of its
-reflection s_i mu at a negative pairing, which lies earlier in the same
-walk, so no point of the box runs a reflection loop.  Results are memoized
-per (lambda, dominant nu) for the life of the process, reductions only per
-evaluation.  The recursion at a dominant lam - nu.alpha stores
+box_multiplicities(lam, b) for one flat list in itertools.product order, or
+BoxCapError before the first point when there are more than
+DEFAULT_NODE_CAP: a dominant point is one lookup, and any other copies the
+entry of its reflection s_i mu at a negative pairing, which lies earlier in
+the same walk, so no point of the box runs a reflection loop.  Results are
+memoized per (lambda, dominant nu) for the life of the process, reductions
+only per evaluation.  The recursion at a dominant lam - nu.alpha stores
 lam - nu.alpha + k delta for every k <= min(nu) (the imaginary-root terms
 pair to the level, which is positive), so a miss with min(nu) >=
 DEFAULT_NODE_CAP raises RecursionCapError before any work.
@@ -172,7 +173,7 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
     strictly above nu, so an explicit stack that pushes the missing ones
     first finishes with no cycle and no interpreter recursion limit.  Each
     entry's terms are built once, from the root tables of degree <= top_0
-    (every u pushed is <= top).
+    (every u pushed is <= top), and dropped once the entry is solved.
     """
     stack = [top]
     pending: dict[tuple[int, ...], list] = {}
@@ -190,7 +191,7 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
             if missing:
                 stack.extend(missing)
                 continue
-        memo[u] = _solve(plam, u, terms, memo)
+        memo[u] = _solve(plam, u, pending.pop(u), memo)
         stack.pop()
     return memo[top]
 

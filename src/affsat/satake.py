@@ -9,10 +9,11 @@ are counted by the weight multiplicity, leaves are labelled by a dominant
 weight kappa between mu and lambda - |k| delta together with a partition k,
 and tensor fixed points are the weight splittings with nonzero factors.
 The dominant kappa are read off one walk of the box with its pairings
-(cartan.box_pairings), and the strata over them are counted from partition
-numbers before any is listed: more than DEFAULT_NODE_CAP raises
-StrataCapError.  Tier-1 holds these counts to crystal node counts.  Pure
-functions.
+(cartan.box_pairings, which, like freudenthal.box_multiplicities, refuses a
+box of more than DEFAULT_NODE_CAP points with BoxCapError before its
+first), and the strata over them are counted from partition numbers before
+any is listed: more than DEFAULT_NODE_CAP raises StrataCapError.  Tier-1
+holds these counts to crystal node counts.  Pure functions.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from . import crystal
-from .cartan import (DEFAULT_NODE_CAP, Weight, box_pairings, check_box, highest_pairings,
-                     lowering_vector)
+from .cartan import DEFAULT_NODE_CAP, Weight, box_pairings, highest_pairings, lowering_vector
 from .errors import StrataCapError
 
 
@@ -77,7 +77,6 @@ def _kept_kappas(lam: Weight, mu: Weight, include_empty: bool):
     v = lowering_vector(lam, mu)
     if v is None or any(x < 0 for x in v):
         return None, []
-    check_box(v)
     level_one = lam.level == 1
     # the walk yields c in lexicographic order, so a stable sort by height
     # orders the kept c by (height, c)

@@ -29,8 +29,9 @@ from affsat import (
     weight_invariants,
     weights_from_dims,
 )
-from affsat.cartan import (_solve_base_shift, box_pairings, box_strides, cartan_apply,
-                           weyl_orbit_lowerings)
+from affsat.cartan import (DEFAULT_NODE_CAP, _solve_base_shift, box_pairings, box_points,
+                           box_strides, cartan_apply, weyl_orbit_lowerings)
+from affsat.errors import BoxCapError
 from affsat.freudenthal import positive_roots
 
 from conftest import dominant_bases, lowered
@@ -424,3 +425,15 @@ def test_box_pairings_walk_the_box_in_product_order(p, box):
         assert q == [a - b for a, b in zip(p, cartan_apply(c))], c
         assert sum(x * s for x, s in zip(c, box_strides(box))) == k
     assert list(box_pairings(p, (1, -1) + (0,) * (len(p) - 2))) == []
+
+
+def test_box_points_refuse_an_oversized_box_before_the_first_point():
+    assert list(box_points((2, 1))) == list(itertools.product(range(3), range(2)))
+    assert list(box_points((3, -1))) == []
+    assert next(box_points((DEFAULT_NODE_CAP - 1,))) == (0,)  # exactly the cap
+    # the count is taken when the walk is asked for, not when it starts
+    for walk in (lambda: box_points((DEFAULT_NODE_CAP, 0)),
+                 lambda: box_pairings((1, 0), (DEFAULT_NODE_CAP, 0))):
+        with pytest.raises(BoxCapError) as info:
+            walk()
+        assert info.value.count == DEFAULT_NODE_CAP + 1

@@ -523,6 +523,38 @@ def test_box_walk_over_the_cap_exits_3(argv, box, points):
         "over the node cap of 5000000"]
 
 
+@pytest.mark.parametrize("argv,cap,budget,nodes", [
+    ("check -n 3 -w 1,1,0 --depth 20", 5_000_000, "20, 20, 20", 29_354_253),
+    ("check -n 2 -w 1,0 --depth 60 --node-cap 1000000", 1_000_000, "60, 60", 26_438_440),
+    ("check -n 2 -w 1,0 --depth 4 --node-cap 23", 23, "4, 4", 24),
+])
+def test_check_over_the_node_cap_exits_3_before_building(capsys, monkeypatch, argv, cap,
+                                                         budget, nodes):
+    # the Freudenthal table sums to the graph's exact node count, read
+    # before the first BFS level is expanded
+    calls = _count_graph_builds(monkeypatch)
+    assert run_cli(capsys, *argv.split()) == (3, "", (
+        f"affsat: crystal generation exceeded the node cap of {cap} nodes "
+        f"(budget ({budget}) produced at least {nodes}); "
+        "raise node_cap or shrink the budget\n"))
+    assert calls == []
+
+
+def test_check_within_the_node_cap_builds_once(capsys, monkeypatch):
+    from affsat import crystal
+
+    builds = []
+    generate = crystal.generate_crystal
+    monkeypatch.setattr(crystal, "generate_crystal",
+                        lambda *args, **kwargs: builds.append(1) or generate(*args, **kwargs))
+    calls = _count_graph_builds(monkeypatch)
+    # 24 nodes, a cap of exactly that many
+    code, out, err = run_cli(capsys, "check", "-n", "2", "-w", "1,0", "--depth", "4",
+                             "--node-cap", "24")
+    assert (code, json.loads(out)["status"], builds) == (0, "OK", [1])
+    assert calls and err == "crystal vs Freudenthal: OK (25 weights compared)\n"
+
+
 def test_too_many_strata_exit_3():
     # a box of 132,651 points holding 14,390,273 strata: counted, not listed
     proc = subprocess.run([*AFFSAT, "leaves", "-n", "3", "-w", "1,1,0", "-v", "50,50,50"],

@@ -20,6 +20,7 @@ from affsat import (
 )
 from affsat import freudenthal
 from affsat.cartan import cartan_apply
+from affsat.errors import BoxCapError
 
 from conftest import coloured_partitions, dominant_bases, full_root_freudenthal, lowered
 
@@ -221,6 +222,18 @@ def test_box_multiplicities_are_the_lookups(n, b):
             assert isinstance(table, list)
             assert table == [freudenthal.multiplicity_at(top, u)
                              for u in itertools.product(range(b + 1), repeat=n)], top
+
+
+def test_box_multiplicities_refuse_an_oversized_box():
+    # a box of 5,000,001 points, refused before the first lookup: the memo
+    # holds what it held before
+    lam = fundamental_weight(2, 0)
+    freudenthal.multiplicity_at(lam, (3, 3))
+    memo = dict(freudenthal._memo[lam][1])
+    with pytest.raises(BoxCapError) as info:
+        freudenthal.box_multiplicities(lam, (DEFAULT_NODE_CAP, 0))
+    assert (info.value.budget, info.value.count) == ((DEFAULT_NODE_CAP, 0), DEFAULT_NODE_CAP + 1)
+    assert freudenthal._memo[lam][1] == memo
 
 
 def test_positive_roots_validation():

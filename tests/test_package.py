@@ -2,6 +2,7 @@
 loads no submodule, and the CLI loads a command's modules only when that
 command runs."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -118,3 +119,27 @@ def test_input_errors_are_domain_errors():
         assert issubclass(cls, errors.AffsatError) and issubclass(cls, ValueError), name
     for cls in (errors.ResourceCapError, errors.ConsistencyError):
         assert not issubclass(cls, errors.DomainError), cls
+
+
+def _imports(module: str) -> set[tuple[str, str]]:
+    """(module, name) for each `from module import name` in src/affsat/{module}.py,
+    and ("itertools", "product") for an `itertools.product` attribute."""
+    tree = ast.parse((ROOT / "src" / "affsat" / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found |= {(node.module, alias.name) for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and (node.value.id, node.attr) == ("itertools", "product")):
+            found.add(("itertools", "product"))
+    return found
+
+
+def test_only_cartan_walks_a_box():
+    """cartan.box_points is the one box walk, so it alone holds the box cap:
+    no other module imports itertools.product or BoxCapError."""
+    modules = [path.stem for path in sorted((ROOT / "src" / "affsat").glob("*.py"))]
+    assert "cartan" in modules
+    imports = {m: _imports(m) for m in modules}
+    assert [m for m in modules if ("itertools", "product") in imports[m]] == ["cartan"]
+    assert [m for m in modules if ("errors", "BoxCapError") in imports[m]] == ["cartan"]
