@@ -19,13 +19,15 @@ JSON {"n":..,"w":..,"c":..}, which carries its own rank, so -n goes only with
 --mu JSON.  mult and fixed take lambda or a tensor pair (--w1/--w2 or
 --lam1/--lam2), each factor read as lambda is.  The budget of crystal and
 tensor is --budget, --depth or -v.
-The graph cache keeps one file {key}.json per key under --cache-dir (default
-$AFFSAT_CACHE_DIR; an empty value means no cache), keyed by a digest of
-(schema version, rank, lambda, budget, convention id).  An entry is the
-document's sha256 hex digest, a newline and the document; a warm hit serves
-it byte-identical once the digest matches.  Version-1 entries are never read
+The graph cache keeps {key}.json per key under --cache-dir (default
+$AFFSAT_CACHE_DIR; an empty value means no cache), plus {key}.dot once
+--format dot is asked, keyed by a digest of (schema version, rank, lambda,
+budget, convention id).  An entry is the document's sha256 hex digest, a
+newline and the document; a warm hit serves it byte-identical once the
+digest matches.  --format dot is rendered once from the JSON entry and
+served from its own digest-checked entry.  Version-1 entries are never read
 and can be deleted.  Nothing is ever evicted: the cache grows until its
-{key}.json files are deleted, which is always safe.
+{key}.json and {key}.dot files are deleted, which is always safe.
 
 Only what a command runs is imported: crystal generation, satake,
 freudenthal, hashlib and the cache's file handling load inside the
@@ -43,8 +45,11 @@ import sys
 
 from .cartan import (CONVENTION_ID, DEFAULT_NODE_CAP, Weight, box_points, canonical_dumps,
                      weights_from_dims)
-from .errors import ConsistencyError, DomainError, ResourceCapError
+from .errors import ConsistencyError, DomainError, GraphCapError, ResourceCapError
 
+# DOT bytes are part of the cache contract since {key}.dot entries are
+# served as stored: any change to dot_from_graph_json's output must bump
+# this (the pinned DOT digests in the tests fail first).
 SCHEMA_VERSION = 2
 ENV_CACHE_DIR = "AFFSAT_CACHE_DIR"
 
@@ -165,31 +170,16 @@ def _cache_key(lam: Weight, budget: tuple[int, ...]) -> str:
     return _sha256(payload)
 
 
-def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
-                       node_cap: int = DEFAULT_NODE_CAP) -> str:
-    """Canonical graph JSON for (lambda, budget), served from cache when possible.
+def _cached(path, make) -> str:
+    """The document stored at path when its digest line matches, else make()'s.
 
-    A cached document is only served when its stored digest matches; corrupt
-    entries are rebuilt and overwritten with a warning.  Cache write failures
-    degrade to build-without-store.
+    A corrupt or unreadable entry is rebuilt with a warning and overwritten
+    atomically (mkstemp + os.replace); a write failure degrades to
+    build-without-store.
     """
     import tempfile
     from pathlib import Path
 
-    from . import crystal
-
-    budget = crystal._validate_budget(lam.n, budget)
-
-    def build() -> str:
-        return crystal.generate_crystal(lam, budget, node_cap=node_cap).to_json_str()
-
-    if cache_dir is None:
-        return build()
-    root = Path(cache_dir)
-    if root.exists() and not root.is_dir():
-        raise DomainError(f"cache dir {cache_dir!r} exists and is not a directory")
-    key = _cache_key(lam, budget)
-    path = root / f"{key}.json"
     if path.exists():
         try:
             digest, _, doc = path.read_text().partition("\n")
@@ -199,11 +189,11 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
                   file=sys.stderr)
         except (OSError, ValueError):
             print(f"affsat: cache entry {path.name} is unreadable; rebuilding", file=sys.stderr)
-    doc = build()
+    doc = make()
     tmp = None
     try:
-        root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=root, prefix=f"{key}.", suffix=".tmp")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(_sha256(doc) + "\n" + doc)
         os.replace(tmp, path)
@@ -212,6 +202,38 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
         if tmp is not None:
             Path(tmp).unlink(missing_ok=True)
     return doc
+
+
+def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
+                       node_cap: int = DEFAULT_NODE_CAP, fmt: str = "json") -> str:
+    """Canonical graph JSON, or its DOT rendering (fmt="dot"), for (lambda,
+    budget), served from cache when possible.
+
+    Each format has its own entry, {key}.json or {key}.dot, served only when
+    its stored digest matches.  A DOT miss is rendered from the JSON entry,
+    so a full miss builds once and writes both.
+    """
+    from pathlib import Path
+
+    from . import crystal
+
+    if fmt not in ("json", "dot"):
+        raise DomainError(f"unknown graph format {fmt!r}: expected 'json' or 'dot'")
+    budget = crystal._validate_budget(lam.n, budget)
+
+    def build() -> str:
+        return crystal.generate_crystal(lam, budget, node_cap=node_cap).to_json_str()
+
+    if cache_dir is None:
+        return dot_from_graph_json(build()) if fmt == "dot" else build()
+    root = Path(cache_dir)
+    if root.exists() and not root.is_dir():
+        raise DomainError(f"cache dir {cache_dir!r} exists and is not a directory")
+    key = _cache_key(lam, budget)
+    if fmt == "dot":
+        return _cached(root / f"{key}.dot",
+                       lambda: dot_from_graph_json(_cached(root / f"{key}.json", build)))
+    return _cached(root / f"{key}.json", build)
 
 
 # A node's id and c, and an edge, in the layout CrystalGraph.to_json_str writes.
@@ -235,10 +257,9 @@ def dot_from_graph_json(doc: str) -> str:
 
 def _cmd_crystal(args) -> tuple[str, int]:
     lam = _weight(args, "-w", "--lam")
-    budget = _resolve_budget(args, lam)
-    cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None
-    doc = cache_get_or_build(lam, budget, cache_dir, node_cap=args.node_cap)
-    return (dot_from_graph_json(doc) if args.format == "dot" else doc), EXIT_OK
+    return cache_get_or_build(lam, _resolve_budget(args, lam),
+                              args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None,
+                              node_cap=args.node_cap, fmt=args.format), EXIT_OK
 
 
 def _cmd_mult(args) -> tuple[str, int]:
@@ -319,7 +340,7 @@ def _cmd_check(args) -> tuple[str, int]:
     budget = (args.depth,) * lam.n
     table = freudenthal.box_multiplicities(lam, budget)
     if sum(table) > args.node_cap:  # truncation is exact: the graph's node count
-        raise ResourceCapError(args.node_cap, budget, sum(table))
+        raise GraphCapError(args.node_cap, budget, sum(table))
     counts = crystal.generate_crystal(lam, budget, node_cap=args.node_cap).weight_counts()
     compared = len(table)
     disagreements = []

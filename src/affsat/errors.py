@@ -50,6 +50,13 @@ class BoxCapError(ResourceCapError):
     message = "walking the box {budget} would visit {count} points, over the node cap of {cap}"
 
 
+class GraphCapError(ResourceCapError):
+    """A crystal graph, counted exactly before it is built, would have more
+    nodes than the node cap."""
+
+    message = "the graph of budget {budget} has {count} nodes, over the node cap of {cap}"
+
+
 class StrataCapError(ResourceCapError):
     """Listing the symplectic-leaf strata below a box would give more labels
     than the node cap; budget is the box."""

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affsat import Weight
+from affsat import Weight, cli
 from affsat.cli import build_parser, main
 
 from conftest import coloured_partitions, graph_branching
@@ -113,7 +113,11 @@ def test_crystal_dot_pinned(tmp_path, capsys, argv, digest):
         code, out, err = run_cli(capsys, *args)
         assert (code, err) == (0, ""), cache
         assert hashlib.sha256(out.encode()).hexdigest() == digest, cache
-    assert len(list(tmp_path.iterdir())) == 1
+    # the JSON entry and the DOT entry rendered from it, nothing else
+    args = build_parser().parse_args(["crystal", *argv])
+    lam = cli._weight(args, "-w", "--lam")
+    key = cli._cache_key(lam, cli._resolve_budget(args, lam))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{key}.dot", f"{key}.json"]
 
 
 def test_crystal_unknown_format(capsys):
@@ -410,10 +414,11 @@ def test_branch_residue_range(capsys):
 
 
 def test_resource_cap_exit(capsys):
-    code, _, err = run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "3",
-                           "--node-cap", "5")
-    assert code == 3
-    assert "node cap" in err
+    # crystal is capped by building: the count is how far generation got
+    assert run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "3",
+                   "--node-cap", "5") == (3, "", (
+        "affsat: crystal generation exceeded the node cap of 5 nodes "
+        "(budget (3, 3) produced at least 6); raise node_cap or shrink the budget\n"))
 
 
 def _count_graph_builds(monkeypatch):
@@ -531,12 +536,11 @@ def test_box_walk_over_the_cap_exits_3(argv, box, points):
 def test_check_over_the_node_cap_exits_3_before_building(capsys, monkeypatch, argv, cap,
                                                          budget, nodes):
     # the Freudenthal table sums to the graph's exact node count, read
-    # before the first BFS level is expanded
+    # before the first BFS level is expanded, and the message says so
     calls = _count_graph_builds(monkeypatch)
     assert run_cli(capsys, *argv.split()) == (3, "", (
-        f"affsat: crystal generation exceeded the node cap of {cap} nodes "
-        f"(budget ({budget}) produced at least {nodes}); "
-        "raise node_cap or shrink the budget\n"))
+        f"affsat: the graph of budget ({budget}) has {nodes} nodes, "
+        f"over the node cap of {cap}\n"))
     assert calls == []
 
 
@@ -694,6 +698,119 @@ def test_cache_concurrent_writers(tmp_path):
         digest, doc = read_entry(entry_path)
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
         assert doc + "\n" == outs.pop()
+
+
+DOT_ARGV = ("crystal", "-n", "2", "-w", "1,0", "--depth", "2", "--format", "dot")
+
+
+def _count_builds_and_renders(monkeypatch):
+    """Two lists that grow by one per graph built and per DOT rendering."""
+    from affsat import crystal
+
+    builds, renders = [], []
+    generate, render = crystal.generate_crystal, cli.dot_from_graph_json
+    monkeypatch.setattr(crystal, "generate_crystal",
+                        lambda *args, **kwargs: builds.append(1) or generate(*args, **kwargs))
+    monkeypatch.setattr(cli, "dot_from_graph_json", lambda doc: renders.append(1) or render(doc))
+    return builds, renders
+
+
+def test_dot_hit_builds_and_renders_nothing(tmp_path, capsys, monkeypatch):
+    _, want, _ = run_cli(capsys, *DOT_ARGV)
+    args = (*DOT_ARGV, "--cache-dir", str(tmp_path))
+    assert run_cli(capsys, *args) == (0, want, "")
+    builds, renders = _count_builds_and_renders(monkeypatch)
+    assert run_cli(capsys, *args) == (0, want, "")
+    assert (builds, renders) == ([], [])
+
+
+def test_dot_miss_over_a_json_hit_renders_once(tmp_path, capsys, monkeypatch):
+    _, want, _ = run_cli(capsys, *DOT_ARGV)
+    run_cli(capsys, *DOT_ARGV[:-2], "--cache-dir", str(tmp_path))
+    [json_path] = tmp_path.iterdir()
+    builds, renders = _count_builds_and_renders(monkeypatch)
+    assert run_cli(capsys, *DOT_ARGV, "--cache-dir", str(tmp_path)) == (0, want, "")
+    assert (builds, renders) == ([], [1])
+    dot_path = json_path.with_suffix(".dot")
+    assert sorted(tmp_path.iterdir()) == [dot_path, json_path]
+    assert read_entry(dot_path) == (hashlib.sha256(want.encode()).hexdigest(), want)
+
+
+def test_bad_dot_entry_is_rendered_again_from_json(tmp_path, capsys, monkeypatch):
+    # A corrupt entry, one that does not decode and one with no newline are
+    # each rendered again from the JSON entry with one warning, and rewritten.
+    args = (*DOT_ARGV, "--cache-dir", str(tmp_path))
+    _, want, _ = run_cli(capsys, *args)
+    [dot_path] = tmp_path.glob("*.dot")
+    good = dot_path.read_bytes()
+    digest, doc = read_entry(dot_path)
+    builds, renders = _count_builds_and_renders(monkeypatch)
+    for bad in ((digest + "\n" + doc[:-2] + " \n").encode(), good[:-1] + b"\xff", digest.encode()):
+        dot_path.write_bytes(bad)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (0, want), bad[:80]
+        assert len(err.splitlines()) == 1 and "rebuilding" in err, bad[:80]
+        assert dot_path.read_bytes() == good
+    assert (builds, renders) == ([], [1, 1, 1])
+
+
+def test_dot_entry_that_is_a_directory(tmp_path, capsys, monkeypatch):
+    # The entry can be neither read nor replaced: the document is rendered
+    # from the JSON entry and served, with one warning for each, and no temp
+    # file is left behind.
+    args = (*DOT_ARGV, "--cache-dir", str(tmp_path))
+    _, want, _ = run_cli(capsys, *args)
+    [dot_path] = tmp_path.glob("*.dot")
+    dot_path.unlink()
+    dot_path.mkdir()
+    builds, renders = _count_builds_and_renders(monkeypatch)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, builds, renders) == (0, want, [], [1])
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert "unreadable; rebuilding" in lines[0] and "cache write failed" in lines[1]
+    assert sorted(tmp_path.iterdir()) == [dot_path, dot_path.with_suffix(".json")]
+
+
+def test_dot_write_failure_still_prints_the_document(tmp_path, capsys):
+    _, want, _ = run_cli(capsys, *DOT_ARGV)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    code, out, err = run_cli(capsys, *DOT_ARGV, "--cache-dir", str(blocker / "sub"))
+    assert (code, out) == (0, want)
+    # neither the JSON entry nor the DOT entry could be stored
+    assert [line.split(" (")[0] for line in err.splitlines()] == ["affsat: cache write failed"] * 2
+
+
+def test_cache_get_or_build_refuses_an_unknown_format(tmp_path):
+    from affsat.errors import DomainError
+
+    lam = Weight(2, (1, 0), (0, 0))
+    with pytest.raises(DomainError, match="unknown graph format 'svg'"):
+        cli.cache_get_or_build(lam, (1, 1), str(tmp_path), fmt="svg")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dot_concurrent_writers(tmp_path):
+    # Four --format dot writers miss on one key at once; a few rounds, as the
+    # overlap is up to the scheduler.
+    for round_no in range(3):
+        cache_dir = tmp_path / str(round_no)
+        argv = [*AFFSAT, "crystal", "-n", "3", "-w", "1,1,0", "--depth", "4",
+                "--format", "dot", "--cache-dir", str(cache_dir)]
+        procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True, env=SRC_ENV) for _ in range(4)]
+        results = [proc.communicate(timeout=60) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * 4
+        assert [err for _, err in results] == [""] * 4
+        [out] = {out for out, _ in results}
+        # exactly the two entries, no temp file left behind, both digests valid
+        json_path, dot_path = sorted(cache_dir.iterdir(), key=lambda p: p.suffix != ".json")
+        assert (json_path.suffix, dot_path.name) == (".json", json_path.stem + ".dot")
+        for path in (json_path, dot_path):
+            digest, doc = read_entry(path)
+            assert hashlib.sha256(doc.encode()).hexdigest() == digest
+        assert doc == out
 
 
 def test_env_var_cache_dir(tmp_path, monkeypatch, capsys):
