@@ -20,10 +20,14 @@ A word is a tuple of factor ids in a FactorTable, which interns each
 FactorTable.intern is the one place scan tables are filled, and fold the one
 place they are cancelled across a word.  fold reports lowering only; raising
 is the fold of the mirrored word (word_scan), so the BFS in expand_level
-pays for one side only.
+pays for one side only and keeps its own inline lowering through the memo.
+Everywhere else a (charge, parts) word is scanned by FactorTable.scan and
+lowered or raised by FactorTable.act, the one place e_i and f_i act on a
+word (the level-1 Fock crystal is its one-factor case).  A finished crystal
+graph keeps only its table's factors list, not the scans, memo or ids.
 """
 
-from .errors import ResourceCapError
+from .errors import DomainError, ResourceCapError
 
 IMPL = "python"
 
@@ -105,7 +109,8 @@ class FactorTable:
     once, when intern first sees the factor: the only place scans are
     stored) and lowered[id][i] the id of the factor with its good i-addable
     cell added, None until first asked for.  The good addable row depends
-    only on the factor, so the lowered memo is exact.
+    only on the factor, so the lowered memo is exact.  scan and act apply
+    the signature rule to (charge, parts) words, interning their factors.
     """
 
     def __init__(self, n):
@@ -124,6 +129,24 @@ class FactorTable:
             self.scans.append(signature_scan(factor[1], factor[0], self.n))
             self.lowered.append([None] * self.n)
         return fid
+
+    def scan(self, word, i):
+        """word_scan of a (charge, parts) word at residue i (mod n)."""
+        return word_scan([self.scans[self.intern(f)] for f in word], i % self.n)
+
+    def act(self, word, i, direction):
+        """f_i (direction="lower") or e_i (direction="raise") on a (charge, parts)
+        word; None at a string end."""
+        if direction not in ("lower", "raise"):
+            raise DomainError(f'direction must be "lower" or "raise", got {direction!r}')
+        _, _, pos_f, pos_e, add_row, rem_row = self.scan(word, i)
+        lower = direction == "lower"
+        pos = pos_f if lower else pos_e
+        if pos < 0:
+            return None
+        charge, parts = word[pos]
+        parts = add_cell(parts, add_row) if lower else remove_cell(parts, rem_row)
+        return word[:pos] + ((charge, parts),) + word[pos + 1 :]
 
 
 def expand_level(frontier, words, cvecs, index, slots, budget, table, node_cap):

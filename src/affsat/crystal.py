@@ -19,11 +19,15 @@ nothing at the weights it covers.  Results are a deterministic function of
 purposes.  The signature rule runs only where a word is lowered or raised;
 a finished graph reads eps_i off its i-edges (CrystalGraph.eps).
 
-Generation works on words of factor ids: each graph owns one
+Generation works on words of factor ids: each build owns one
 kernels.FactorTable, which interns every (charge, parts) factor once, stores
 its signature scan (the one memo fill) and memoizes its lowerings, and
 kernels.expand_level lowers and dedups a whole BFS level, running only the
-lowering fold (kernels.fold; raising folds the mirrored word).  A graph keeps
+lowering fold (kernels.fold; raising folds the mirrored word) and its own
+inline lowering through the memo.  A finished graph keeps only the table's
+factors list; the scans, the memo and the intern dict go when the build
+returns.  Outside the BFS, tensor_eps_phi and apply_tensor_operator are
+FactorTable.scan and FactorTable.act on a fresh table.  A graph keeps
 its f-edges as flat slots, n per node (slots[node * n + i] is the f_i-child
 or -1), which CrystalGraph.edges views as a read-only {(from, i): to}
 mapping; nodes lowered under f_i from one cvec share one child cvec tuple.
@@ -108,45 +112,15 @@ class CrystalNode(namedtuple("CrystalNode", "n word")):
 TensorEpsPhi = namedtuple("TensorEpsPhi", "eps phi position_f position_e")
 
 
-def _scan_word(word: Word, i: int, table: kernels.FactorTable):
-    """Signature rule across the word at residue i.
-
-    The factors' scan tables come from table, which interns each factor.
-    Returns (eps, phi, pos_f, pos_e, add_row, rem_row) where pos_* are the
-    factor indices where lowering / raising act (-1 when undefined) and
-    *_row the good rows inside those factors.
-    """
-    return kernels.word_scan([table.scans[table.intern(f)] for f in word], i)
-
-
 def tensor_eps_phi(node: CrystalNode, i: int) -> TensorEpsPhi:
     """Totals eps_i, phi_i of a word and where f_i / e_i would act."""
-    eps, phi, pos_f, pos_e, _, _ = _scan_word(node.word, i % node.n, kernels.FactorTable(node.n))
+    eps, phi, pos_f, pos_e, _, _ = kernels.FactorTable(node.n).scan(node.word, i)
     return TensorEpsPhi(eps, phi, pos_f if pos_f >= 0 else None, pos_e if pos_e >= 0 else None)
-
-
-def _word_lower(word: Word, i: int, table: kernels.FactorTable) -> Word | None:
-    _, phi, pos_f, _, add_row, _ = _scan_word(word, i, table)
-    if phi == 0:
-        return None
-    charge, parts = word[pos_f]
-    return word[:pos_f] + ((charge, kernels.add_cell(parts, add_row)),) + word[pos_f + 1 :]
-
-
-def _word_raise(word: Word, i: int, table: kernels.FactorTable) -> Word | None:
-    eps, _, _, pos_e, _, rem_row = _scan_word(word, i, table)
-    if eps == 0:
-        return None
-    charge, parts = word[pos_e]
-    return word[:pos_e] + ((charge, kernels.remove_cell(parts, rem_row)),) + word[pos_e + 1 :]
 
 
 def apply_tensor_operator(node: CrystalNode, i: int, direction: str) -> CrystalNode | None:
     """Word-level f_i / e_i; None at a string end."""
-    if direction not in ("lower", "raise"):
-        raise DomainError(f'direction must be "lower" or "raise", got {direction!r}')
-    op = _word_lower if direction == "lower" else _word_raise
-    word = op(node.word, i % node.n, kernels.FactorTable(node.n))
+    word = kernels.FactorTable(node.n).act(node.word, i, direction)
     return None if word is None else CrystalNode(node.n, word)
 
 
@@ -184,16 +158,16 @@ class CrystalGraph:
     """Truncated crystal graph: nodes reachable from the highest-weight word
     by f-edges whose lowering stays within the budget.
 
-    Nodes are id words over table; words materializes them as
-    (charge, parts) words on first use.  slots holds the f-edges, n per
-    node (see EdgeView), and edges views them as a mapping."""
+    Nodes are id words over factors, the build FactorTable's (charge, parts)
+    factors by id; words materializes them on first use.  slots holds the
+    f-edges, n per node (see EdgeView), and edges views them as a mapping."""
 
-    def __init__(self, lam: Weight, budget: tuple[int, ...], table: kernels.FactorTable,
+    def __init__(self, lam: Weight, budget: tuple[int, ...], factors: list[Factor],
                  id_words: list[IdWord], cvecs: list[tuple[int, ...]], slots: list[int]):
         self.lam = lam
         self.n = lam.n
         self.budget = budget
-        self.table = table
+        self.factors = factors
         self.id_words = id_words
         self.cvecs = cvecs
         self.slots = slots
@@ -204,12 +178,11 @@ class CrystalGraph:
 
     @cached_property
     def words(self) -> list[Word]:
-        factors = self.table.factors
+        factors = self.factors
         return [tuple([factors[f] for f in word]) for word in self.id_words]
 
     def node(self, node_id: int) -> CrystalNode:
-        factors = self.table.factors
-        return CrystalNode(self.n, tuple([factors[f] for f in self.id_words[node_id]]))
+        return CrystalNode(self.n, tuple(map(self.factors.__getitem__, self.id_words[node_id])))
 
     def weight_of(self, node_id: int) -> Weight:
         return self.lam.lowered(self.cvecs[node_id])
@@ -254,7 +227,7 @@ class CrystalGraph:
         # words order as the tuples of their factors' ranks, and so as those
         # ranks read as the digits of one int in base len(factors).
         coded = self.id_words
-        factors = self.table.factors
+        factors = self.factors
         rank = [0] * len(factors)
         for r, k in enumerate(sorted(range(len(factors)), key=factors.__getitem__)):
             rank[k] = r
@@ -342,7 +315,7 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
         if enabled:
             gc.enable()
 
-    return CrystalGraph(lam, budget, table, words, cvecs, slots)
+    return CrystalGraph(lam, budget, table.factors, words, cvecs, slots)
 
 
 def weight_multiplicity(lam: Weight, mu: Weight) -> int:

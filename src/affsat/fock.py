@@ -8,7 +8,9 @@ Lambda_charge minus one alpha_j per residue-j cell.  The empty partition is
 the unique highest-weight node.
 
 Good cells come from the signature rule in affsat._kernels_py; see that
-module for the reading-order convention.  Which convention is
+module for the reading-order convention.  e_i and f_i are
+kernels.FactorTable.act on the one-factor word ((charge, parts),), the same
+rule the higher-level crystals apply to longer words.  Which convention is
 used does not matter up to isomorphism, and the test suite enforces the
 crystal axioms rather than a particular picture.
 """
@@ -120,17 +122,8 @@ def eps_phi(b: ChargedPartition, i: int) -> EpsPhi:
 
 def apply_root_operator(b: ChargedPartition, i: int, direction: str) -> ChargedPartition | None:
     """f_i (direction="lower") or e_i (direction="raise"); None at a string end."""
-    if direction not in ("lower", "raise"):
-        raise DomainError(f'direction must be "lower" or "raise", got {direction!r}')
-    i %= b.n
-    e, p, add_row, rem_row = kernels.signature_scan(b.parts, b.charge, b.n)[i]
-    if direction == "lower":
-        if p == 0:
-            return None
-        return ChargedPartition(kernels.add_cell(b.parts, add_row), b.charge, b.n)
-    if e == 0:
-        return None
-    return ChargedPartition(kernels.remove_cell(b.parts, rem_row), b.charge, b.n)
+    word = kernels.FactorTable(b.n).act(((b.charge, b.parts),), i, direction)
+    return None if word is None else ChargedPartition(word[0][1], b.charge, b.n)
 
 
 def fock_weight(b: ChargedPartition) -> Weight:

@@ -24,7 +24,6 @@ from affsat import (
 )
 from affsat import _kernels_py as kernels
 from affsat.cli import main as cli_main
-from affsat.crystal import _scan_word, _word_raise
 
 from conftest import dominant_bases, graph_multiplicity, graph_splittings, lowered
 
@@ -122,7 +121,7 @@ def test_criterion_5_crystal_axiom_suite():
         for node_id, word in enumerate(graph.words):
             wt = graph.weight_of(node_id)
             for i in range(n):
-                eps, phi, _, _, _, _ = _scan_word(word, i, table)
+                eps, phi, _, _, _, _ = table.scan(word, i)
                 if phi - eps != wt.pairing(i):
                     violations += 1
                 # eps read off the i-edges equals the signature rule's
@@ -136,10 +135,10 @@ def test_criterion_5_crystal_axiom_suite():
                 if graph.weight_of(child_id) != wt.minus_alpha(i):
                     violations += 1
                 # e_i f_i = id
-                if _word_raise(child_word, i, table) != word:
+                if table.act(child_word, i, "raise") != word:
                     violations += 1
                 # eps_i(f_i b) = eps_i(b) + 1
-                child_eps = _scan_word(child_word, i, table)[0]
+                child_eps = table.scan(child_word, i)[0]
                 if child_eps != eps + 1:
                     violations += 1
     ok = violations == 0 and total_nodes >= 10_000

@@ -587,6 +587,22 @@ def test_check_reports_disagreement(capsys, monkeypatch):
     assert "FAIL" in err
 
 
+def test_branch_reports_a_shrinking_sl2_string(capsys, monkeypatch):
+    # the string differences are multiplicities only while the string grows
+    # towards its middle; a shrinking step is a disagreement, exit 1
+    from affsat import freudenthal
+
+    real = freudenthal.multiplicity_at
+    lam = Weight(2, (1, 0), (0, 0))
+    top, below = real(lam, (2, 0)) + 5, real(lam, (2, 1))
+    assert below < top
+    monkeypatch.setattr(freudenthal, "multiplicity_at",
+                        lambda lam, v: real(lam, v) + (5 if v[1] == 0 else 0))
+    assert run_cli(capsys, "branch", "-n", "2", "-w", "1,0", "-v", "2,2", "-i", "1") == (
+        1, "", "affsat: internal consistency failure: sl2 string at node 1 shrinks at "
+               f"k=1: {below} < {top}\n")
+
+
 def test_consistency_error_exit(capsys, monkeypatch):
     from affsat import crystal
     from affsat.errors import ConsistencyError

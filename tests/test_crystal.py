@@ -6,11 +6,13 @@ from collections import Counter
 import pytest
 
 from affsat import (
+    ChargedPartition,
     CrystalNode,
     DomainError,
     NoHighestWeightError,
     ResourceCapError,
     Weight,
+    apply_root_operator,
     apply_tensor_operator,
     attracting_component_count,
     enumerate_leaves,
@@ -29,9 +31,10 @@ from affsat import (
 )
 from affsat import _kernels_py as kernels
 from affsat.cli import dot_from_graph_json
-from affsat.crystal import _scan_word, _word_raise, canonical_charges, tensor_splittings
+from affsat.crystal import canonical_charges, tensor_splittings
 
 from conftest import (
+    all_partitions,
     dominant_bases,
     graph_branching,
     graph_multiplicity,
@@ -61,14 +64,41 @@ def test_apply_tensor_operator_ends_and_direction():
         apply_tensor_operator(node, 0, "up")
 
 
+def _cells(parts):
+    return {(row, col) for row, length in enumerate(parts, 1) for col in range(1, length + 1)}
+
+
 def test_tensor_rule_single_factor_degenerates_to_fock():
-    for parts in [(), (1,), (2,), (2, 1), (3, 1, 1)]:
-        node = CrystalNode(2, ((0, parts),))
-        b = node.factors[0]
-        for i in range(2):
-            r = tensor_eps_phi(node, i)
-            f = eps_phi(b, i)
-            assert (r.eps, r.phi) == (f.eps, f.phi)
+    # the one-factor word obeys the level-1 rule: eps/phi, f_i and e_i agree
+    # at every rank, charge and residue on every partition of at most 6 cells
+    partitions = all_partitions(6)
+    assert len(partitions) == 1 + 1 + 2 + 3 + 5 + 7 + 11
+    for n in (2, 3, 4):
+        for charge, parts in itertools.product(range(n), partitions):
+            node = CrystalNode(n, ((charge, parts),))
+            (b,) = node.factors
+            assert b.size() == sum(parts) <= 6
+            for i in range(n):
+                r = tensor_eps_phi(node, i)
+                f = eps_phi(b, i)
+                assert (r.eps, r.phi) == (f.eps, f.phi)
+                assert (r.position_f, r.position_e) == (0 if f.phi else None,
+                                                        0 if f.eps else None)
+                for d, good in (("lower", f.good_addable), ("raise", f.good_removable)):
+                    fb = apply_root_operator(b, i, d)
+                    tb = apply_tensor_operator(node, i, d)
+                    assert (None if tb is None else tb.factors[0]) == fb, (n, charge, parts, i, d)
+                    # and moves the good cell eps_phi reads off the scan alone
+                    assert (fb is None) == (good is None)
+                    if fb is not None:
+                        assert _cells(fb.parts) ^ _cells(b.parts) == {good}
+        messages = set()
+        for op, x in ((apply_root_operator, ChargedPartition((2, 1), 0, n)),
+                      (apply_tensor_operator, CrystalNode(n, ((0, (2, 1)),)))):
+            with pytest.raises(DomainError) as exc:
+                op(x, 0, "up")
+            messages.add(str(exc.value))
+        assert messages == {'direction must be "lower" or "raise", got \'up\''}
 
 
 def test_generate_budget_zero():
@@ -136,7 +166,7 @@ def test_closure_within_budget():
     for node_id, word in enumerate(g.words):
         c = g.cvecs[node_id]
         for i in range(2):
-            _, phi, _, _, _, _ = _scan_word(word, i, table)
+            _, phi, _, _, _, _ = table.scan(word, i)
             in_budget = c[i] + 1 <= budget[i]
             has_edge = (node_id, i) in g.edges
             assert has_edge == (phi > 0 and in_budget)
@@ -247,7 +277,7 @@ def test_eps_is_the_raising_string_length(n, w, budget):
         eps = g.eps(i)
         for node_id, word in enumerate(g.words):
             length = 0
-            while (word := _word_raise(word, i, table)) is not None:
+            while (word := table.act(word, i, "raise")) is not None:
                 length += 1
             assert eps[node_id] == length, (node_id, i)
         assert g.eps(i + n) == eps
@@ -290,11 +320,20 @@ def test_factor_memo_exact(monkeypatch, n, w, budget):
         return scan(parts, charge, n)
 
     monkeypatch.setattr(kernels, "signature_scan", counted)
+    # the graph keeps only the factors, so the build table is caught on its
+    # way into the BFS (expand_level's 7th argument)
+    tables = []
+    expand_level = kernels.expand_level
+    monkeypatch.setattr(kernels, "expand_level",
+                        lambda *args: tables.append(args[6]) or expand_level(*args))
     g = generate_crystal(Weight(n, w, (0,) * n), budget)
+    table = tables[0]
+    assert all(t is table for t in tables)
+    assert g.factors is table.factors
+    assert not hasattr(g, "table")
     # one scan per distinct factor of the graph, and no other
     assert set(calls.values()) == {1}
     assert set(calls) == {f for word in g.words for f in word}
-    table = g.table
     assert len(table.factors) == len(calls)
     filled = 0
     for f, row in enumerate(table.lowered):
@@ -421,7 +460,7 @@ def _pair_scan_highest_weights(lam1, lam2, budget):
             total = tuple(a + b for a, b in zip(c1, c2))
             if any(t > b for t, b in zip(total, budget)):
                 continue
-            if all(_scan_word(w1 + w2, i, table)[0] == 0 for i in range(n)):
+            if all(table.scan(w1 + w2, i)[0] == 0 for i in range(n)):
                 kappa = lowered(base, total)
                 out[kappa] = out.get(kappa, 0) + 1
     return out

@@ -143,3 +143,28 @@ def test_only_cartan_walks_a_box():
     imports = {m: _imports(m) for m in modules}
     assert [m for m in modules if ("itertools", "product") in imports[m]] == ["cartan"]
     assert [m for m in modules if ("errors", "BoxCapError") in imports[m]] == ["cartan"]
+
+
+def _uses(module: str, names: set[str]) -> set[str]:
+    """Which of names src/affsat/{module}.py defines, imports, reads or calls."""
+    tree = ast.parse((ROOT / "src" / "affsat" / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.FunctionDef):
+            found.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+    return found & names
+
+
+def test_only_kernels_applies_the_signature_rule_to_words():
+    """FactorTable.scan and FactorTable.act are the one home of e_i and f_i on a
+    word: no module but _kernels_py touches add_cell, remove_cell or word_scan."""
+    modules = [path.stem for path in sorted((ROOT / "src" / "affsat").glob("*.py"))]
+    names = {"add_cell", "remove_cell", "word_scan"}
+    assert _uses("_kernels_py", names) == names
+    assert [m for m in modules if _uses(m, names)] == ["_kernels_py"]
