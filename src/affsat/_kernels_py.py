@@ -202,14 +202,9 @@ def expand_level(frontier, words, cvecs, index, slots, budget, table, node_cap):
 def residue_counts(parts, charge, n):
     """Number of cells of each residue, as a tuple of length n."""
     counts = [0] * n
-    for r, row_len in enumerate(parts, start=1):
-        full, rest = divmod(row_len, n)
-        if full:
-            for j in range(n):
-                counts[j] += full
-        start = (1 - r + charge) % n
-        for k in range(rest):
-            counts[(start + k) % n] += 1
+    for row, row_len in enumerate(parts, start=1):
+        for col in range(1, row_len + 1):
+            counts[(col - row + charge) % n] += 1
     return tuple(counts)
 
 

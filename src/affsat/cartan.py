@@ -306,6 +306,19 @@ def lowering_vector(lam: Weight, mu: Weight) -> tuple[int, ...] | None:
     return tuple(cm - cl - si for cm, cl, si in zip(mu.c, lam.c, s))
 
 
+def validate_budget(n: int, budget) -> tuple[int, ...]:
+    """budget as a tuple of n nonnegative ints, the box a crystal build or a
+    tensor sum may lower lambda by; DomainError otherwise."""
+    budget = tuple(budget)
+    if any(type(x) is not int for x in budget):
+        raise DomainError(f"budget entries must be integers, got {budget!r}")
+    if len(budget) != n:
+        raise DomainError(f"budget must have length n={n}")
+    if any(x < 0 for x in budget):
+        raise DomainError("budget entries must be nonnegative")
+    return budget
+
+
 def box_points(box: Sequence[int]):
     """The points 0 <= c <= box in itertools.product order: the one walk of a
     box, refused before its first point with BoxCapError when there are more

@@ -25,13 +25,15 @@ $AFFSAT_CACHE_DIR; an empty value means no cache), plus {key}.dot once
 budget, convention id).  An entry is the document's sha256 hex digest, a
 newline and the document; a warm hit serves it byte-identical once the
 digest matches.  --format dot is rendered once from the JSON entry and
-served from its own digest-checked entry.  Version-1 entries are never read
-and can be deleted.  Nothing is ever evicted: the cache grows until its
-{key}.json and {key}.dot files are deleted, which is always safe.
+served from its own digest-checked entry.  --node-cap bounds building only:
+a hit builds nothing, so it is served whatever the cap, and an argv whose
+cold run exits 3 exits 0 once its entry is cached.  Version-1 entries are
+never read and can be deleted.  Nothing is ever evicted: the cache grows
+until its {key}.json and {key}.dot files are deleted, which is always safe.
 
 Only what a command runs is imported: crystal generation, satake,
 freudenthal, hashlib and the cache's file handling load inside the
-functions that call them.
+functions that call them, so a cache hit loads no graph code.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import re
 import sys
 
 from .cartan import (CONVENTION_ID, DEFAULT_NODE_CAP, Weight, box_points, canonical_dumps,
-                     weights_from_dims)
+                     validate_budget, weights_from_dims)
 from .errors import ConsistencyError, DomainError, GraphCapError, ResourceCapError
 
 # DOT bytes are part of the cache contract since {key}.dot entries are
@@ -215,13 +217,13 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
     """
     from pathlib import Path
 
-    from . import crystal
-
     if fmt not in ("json", "dot"):
         raise DomainError(f"unknown graph format {fmt!r}: expected 'json' or 'dot'")
-    budget = crystal._validate_budget(lam.n, budget)
+    budget = validate_budget(lam.n, budget)
 
     def build() -> str:
+        from . import crystal
+
         return crystal.generate_crystal(lam, budget, node_cap=node_cap).to_json_str()
 
     if cache_dir is None:
@@ -408,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--depth", type=_int_arg, help="uniform budget shorthand")
         if node_cap:
             sp.add_argument("--node-cap", type=_node_cap_arg, default=DEFAULT_NODE_CAP,
-                            help="abort generation beyond this many nodes")
+                            help="refuse to build a graph of more than this many nodes "
+                                 "(a cache hit builds nothing and is served whatever the cap)")
         return sp
 
     sp = command("crystal", _cmd_crystal, "truncated crystal graph of lambda", budget=True,

@@ -29,8 +29,11 @@ factors list; the scans, the memo and the intern dict go when the build
 returns.  Outside the BFS, tensor_eps_phi and apply_tensor_operator are
 FactorTable.scan and FactorTable.act on a fresh table.  A graph keeps
 its f-edges as flat slots, n per node (slots[node * n + i] is the f_i-child
-or -1), which CrystalGraph.edges views as a read-only {(from, i): to}
-mapping; nodes lowered under f_i from one cvec share one child cvec tuple.
+or -1); CrystalGraph.edges, the read-only {(from, i): to} mapping of them,
+is built on first read, which no CLI command makes.  Nodes lowered under
+f_i from one cvec share one child cvec tuple.  The kernel module is
+imported directly; affsat._backend names it only for the benchmark's tracer
+and backend_name().
 The cyclic collector is paused for the BFS, which allocates nothing it
 could free, and the caller's setting restored after.  (charge, parts) words
 are materialized only at the API edge (CrystalGraph.words, node()).
@@ -55,12 +58,12 @@ from __future__ import annotations
 import gc
 import json
 from collections import Counter, namedtuple
-from collections.abc import Mapping
 from functools import cached_property
 from operator import le, mul, sub
+from types import MappingProxyType
 
+from . import _kernels_py as kernels
 from . import freudenthal
-from ._backend import kernels
 from .cartan import (
     CONVENTION_ID,
     DEFAULT_NODE_CAP,
@@ -72,9 +75,10 @@ from .cartan import (
     dominant_lowering,
     highest_pairings,
     lowering_vector,
+    validate_budget,
     weyl_orbit_lowerings,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError
 from .fock import ChargedPartition
 
 # A factor is (charge, parts); a word is a tuple of factors, an id word a
@@ -124,43 +128,14 @@ def apply_tensor_operator(node: CrystalNode, i: int, direction: str) -> CrystalN
     return None if word is None else CrystalNode(node.n, word)
 
 
-class EdgeView(Mapping):
-    """Read-only {(from, i): to} view of a graph's edge slots, iterating in
-    ascending (from, i).  slots[from * n + i] is the f_i-child of from, or
-    -1 where there is none."""
-
-    __slots__ = ("_slots", "_n")
-
-    def __init__(self, slots: list[int], n: int):
-        self._slots = slots
-        self._n = n
-
-    def __getitem__(self, key) -> int:
-        try:
-            a, i = key
-            if a >= 0 and 0 <= i < self._n:
-                b = self._slots[a * self._n + i]
-                if b >= 0:
-                    return b
-        except (TypeError, ValueError, IndexError):
-            pass
-        raise KeyError(key)
-
-    def __iter__(self):
-        n = self._n
-        return (divmod(k, n) for k, b in enumerate(self._slots) if b >= 0)
-
-    def __len__(self) -> int:
-        return len(self._slots) - self._slots.count(-1)
-
-
 class CrystalGraph:
     """Truncated crystal graph: nodes reachable from the highest-weight word
     by f-edges whose lowering stays within the budget.
 
     Nodes are id words over factors, the build FactorTable's (charge, parts)
     factors by id; words materializes them on first use.  slots holds the
-    f-edges, n per node (see EdgeView), and edges views them as a mapping."""
+    f-edges, n per node: slots[from * n + i] is the f_i-child of from, or -1
+    where there is none."""
 
     def __init__(self, lam: Weight, budget: tuple[int, ...], factors: list[Factor],
                  id_words: list[IdWord], cvecs: list[tuple[int, ...]], slots: list[int]):
@@ -171,7 +146,6 @@ class CrystalGraph:
         self.id_words = id_words
         self.cvecs = cvecs
         self.slots = slots
-        self.edges = EdgeView(slots, lam.n)
 
     def __len__(self) -> int:
         return len(self.id_words)
@@ -180,6 +154,13 @@ class CrystalGraph:
     def words(self) -> list[Word]:
         factors = self.factors
         return [tuple([factors[f] for f in word]) for word in self.id_words]
+
+    @cached_property
+    def edges(self) -> MappingProxyType:
+        """Read-only {(from, i): to} mapping of the f-edges, in ascending
+        (from, i); built on first read."""
+        n = self.n
+        return MappingProxyType({divmod(k, n): b for k, b in enumerate(self.slots) if b >= 0})
 
     def node(self, node_id: int) -> CrystalNode:
         return CrystalNode(self.n, tuple(map(self.factors.__getitem__, self.id_words[node_id])))
@@ -274,17 +255,6 @@ def _ints(xs) -> str:
     return "[" + ",".join(map(str, xs)) + "]"
 
 
-def _validate_budget(n: int, budget) -> tuple[int, ...]:
-    budget = tuple(budget)
-    if any(type(x) is not int for x in budget):
-        raise DomainError(f"budget entries must be integers, got {budget!r}")
-    if len(budget) != n:
-        raise DomainError(f"budget must have length n={n}")
-    if any(x < 0 for x in budget):
-        raise DomainError("budget entries must be nonnegative")
-    return budget
-
-
 def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -> CrystalGraph:
     """Breadth-first closure of the highest-weight word under all f_i within budget.
 
@@ -293,7 +263,7 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
     """
     charges = canonical_charges(lam)
     n = lam.n
-    budget = _validate_budget(n, budget)
+    budget = validate_budget(n, budget)
     table = kernels.FactorTable(n)
 
     hw: IdWord = tuple(table.intern((ch, ())) for ch in charges)
@@ -372,7 +342,7 @@ def tensor_highest_weights(lam1: Weight, lam2: Weight, budget) -> dict[Weight, i
     plam1 = highest_pairings(lam1)
     ptop = [a + b for a, b in zip(plam1, highest_pairings(lam2))]
     base = lam1 + lam2
-    budget = _validate_budget(lam1.n, budget)
+    budget = validate_budget(lam1.n, budget)
     walk = box_pairings(ptop, budget)
     strides = box_strides(budget)
     # each orbit point with its offset in the walk: c - d is the point k - off

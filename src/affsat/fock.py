@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import index as as_int
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .cartan import Frozen, Weight, check_rank
 from .errors import DomainError
 

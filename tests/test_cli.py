@@ -421,6 +421,45 @@ def test_resource_cap_exit(capsys):
         "(budget (3, 3) produced at least 6); raise node_cap or shrink the budget\n"))
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_node_cap_bounds_building_only(tmp_path, capsys, fmt):
+    # a hit builds nothing, so the cap that refuses the cold build does not
+    # refuse the cached document, which is the uncapped run's, byte for byte
+    argv = ("crystal", "-n", "2", "-w", "1,0", "--depth", "3", "--format", fmt)
+    capped = (*argv, "--node-cap", "2", "--cache-dir", str(tmp_path))
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0 and want
+    code, out, err = run_cli(capsys, *capped)
+    assert (code, out) == (3, "") and "node cap of 2 nodes" in err
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, want, "")
+    assert run_cli(capsys, *capped) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("crystal", "-n", "3", "-w", "1,1,0", "--depth", "3"),
+    ("crystal", "-n", "3", "-w", "1,1,0", "--depth", "3", "--format", "dot"),
+    ("check", "-n", "3", "-w", "1,1,0", "--depth", "3"),
+])
+def test_commands_never_read_the_edge_mapping(capsys, monkeypatch, argv):
+    # the documents and check read the slots; edges is built on first read
+    from affsat import crystal
+
+    graphs = []
+    generate = crystal.generate_crystal
+
+    def capture(*args, **kwargs):
+        graphs.append(generate(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(crystal, "generate_crystal", capture)
+    assert run_cli(capsys, *argv)[0] == 0
+    [g] = graphs
+    assert "edges" not in g.__dict__
+    assert len(g.edges) == sum(b >= 0 for b in g.slots) > 0
+    assert g.__dict__["edges"] is g.edges
+
+
 def _count_graph_builds(monkeypatch):
     """A list that grows by one per BFS level any crystal build expands."""
     from affsat._backend import kernels

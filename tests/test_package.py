@@ -61,6 +61,7 @@ assert affsat_modules() == ["affsat", "affsat.cartan", "affsat.cli", "affsat.err
                             "affsat.freudenthal"], affsat_modules()
 doc = run("crystal", "-n", "3", "-w", "1,1,0", "--depth", "4", "--cache-dir", cache_dir)
 assert {"affsat.crystal", "affsat.fock", "affsat._kernels_py", "hashlib"} <= set(sys.modules)
+assert "affsat._backend" not in sys.modules
 assert "affsat.satake" not in sys.modules
 leaves = run("leaves", "-n", "3", "-w", "1,1,0", "-v", "2,2,2")
 assert "affsat.satake" in sys.modules
@@ -86,6 +87,50 @@ def test_commands_import_only_what_they_run(tmp_path):
         "4668202dc303e109526f4d5afd1b130dec0becd43376cecfb8667bbb0c8c5d5e")
     assert hashlib.sha256(leaves.encode()).hexdigest() == (
         "d75e2361ec3b51e387f64ceb08c26d1c9c80e9c1dd933ee7867d1bfcb10a598d")
+
+
+# A warm hit of each format, after the entries are written.
+WARM_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import affsat.cli
+docs = []
+for fmt in ("json", "dot"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert affsat.cli.main(["crystal", "-n", "3", "-w", "1,1,0", "--depth", "4",
+                                "--format", fmt, "--cache-dir", sys.argv[2]]) == 0, fmt
+    docs.append(out.getvalue())
+loaded = [m for m in ("affsat.crystal", "affsat.fock", "affsat._kernels_py", "affsat._backend")
+          if m in sys.modules]
+assert not loaded, loaded
+print(json.dumps(docs))
+"""
+
+
+def test_cache_hits_load_no_graph_code(tmp_path):
+    """A hit serves its entry through cli alone: the budget is checked in
+    cartan, and crystal is imported only to build."""
+    import contextlib
+    import io
+
+    from affsat import cli
+
+    cold = []
+    for fmt in ("json", "dot"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["crystal", "-n", "3", "-w", "1,1,0", "--depth", "4",
+                             "--format", fmt, "--cache-dir", str(tmp_path)]) == 0
+        cold.append(out.getvalue())
+    entries = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(Path(name).suffix for name in entries) == [".dot", ".json"]
+    proc = subprocess.run([sys.executable, "-S", "-c", WARM_SCRIPT, str(ROOT / "src"),
+                           str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == cold
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == entries
 
 
 @pytest.mark.parametrize("module, name",
@@ -146,7 +191,8 @@ def test_only_cartan_walks_a_box():
 
 
 def _uses(module: str, names: set[str]) -> set[str]:
-    """Which of names src/affsat/{module}.py defines, imports, reads or calls."""
+    """Which of names src/affsat/{module}.py defines, imports (or imports
+    from), reads or calls."""
     tree = ast.parse((ROOT / "src" / "affsat" / f"{module}.py").read_text())
     found = set()
     for node in ast.walk(tree):
@@ -158,6 +204,9 @@ def _uses(module: str, names: set[str]) -> set[str]:
             found.add(node.name)
         elif isinstance(node, ast.ImportFrom):
             found |= {alias.name for alias in node.names}
+            found |= set((node.module or "").split("."))
+        elif isinstance(node, ast.Import):
+            found |= {part for alias in node.names for part in alias.name.split(".")}
     return found & names
 
 
@@ -168,3 +217,13 @@ def test_only_kernels_applies_the_signature_rule_to_words():
     names = {"add_cell", "remove_cell", "word_scan"}
     assert _uses("_kernels_py", names) == names
     assert [m for m in modules if _uses(m, names)] == ["_kernels_py"]
+
+
+def test_only_the_package_names_the_backend_shim():
+    """_backend is kept for backend_name() and the benchmark's tracer: every
+    module imports _kernels_py directly, and none but __init__ (which exports
+    backend_name lazily) names _backend."""
+    modules = [path.stem for path in sorted((ROOT / "src" / "affsat").glob("*.py"))]
+    assert {"__init__", "_backend", "crystal", "fock"} <= set(modules)
+    assert [m for m in modules if m != "__init__" and _uses(m, {"_backend"})] == []
+    assert [m for m in modules if _uses(m, {"_kernels_py"})] == ["_backend", "crystal", "fock"]
