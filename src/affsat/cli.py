@@ -1,7 +1,12 @@
 """Command-line front end and the persistent crystal-graph cache.
 
 One query, one document: every command writes exactly one JSON, DOT or TSV
-document to stdout and keeps diagnostics on stderr.  Exit codes: 0 success,
+document to stdout and keeps diagnostics on stderr.  crystal with no cache
+writes the blocks of CrystalGraph.json_blocks as they come, never the
+joined text; its graph is built, and every exit 2 or 3 decided, before the
+first byte (out of memory while writing blocks exits 3 after a truncated
+document).  A reader that closes stdout early ends a command quietly, with
+its exit code and an empty stderr.  Exit codes: 0 success,
 2 validation error, 3 node-cap exceeded (crystal, capped by building, and
 check, refused from its Freudenthal table before its graph is built; mult,
 fixed, branch and tensor answer by Freudenthal and the Weyl group, whose
@@ -23,8 +28,10 @@ The graph cache keeps {key}.json per key under --cache-dir (default
 $AFFSAT_CACHE_DIR; an empty value means no cache), plus {key}.dot once
 --format dot is asked, keyed by a digest of (schema version, rank, lambda,
 budget, convention id).  An entry is the document's sha256 hex digest, a
-newline and the document; a warm hit serves it byte-identical once the
-digest matches.  --format dot is rendered once from the JSON entry and
+newline and the document, in UTF-8; a miss writes the document in blocks
+and the fixed-width digest line last, and a warm hit reads the entry once,
+as bytes, and serves it byte-identical once the digest matches, before its
+first byte.  --format dot is rendered once from the JSON entry and
 served from its own digest-checked entry.  --node-cap bounds building only:
 a hit builds nothing, so it is served whatever the cap, and an argv whose
 cold run exits 3 exits 0 once its entry is cached.  Version-1 entries are
@@ -44,6 +51,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 
 from .cartan import (CONVENTION_ID, DEFAULT_NODE_CAP, Weight, box_points, canonical_dumps,
                      validate_budget, weights_from_dims)
@@ -172,48 +180,88 @@ def _cache_key(lam: Weight, budget: tuple[int, ...]) -> str:
     return _sha256(payload)
 
 
+# An entry's first line, the document's sha256 hex digest and a newline, has
+# this fixed width, so the entry's writer leaves room for it and writes it last.
+_DIGEST_LINE = 65
+# Characters of a stored document encoded, hashed and written at a time.
+_WRITE_CHARS = 1 << 20
+
+
 def _cached(path, make) -> str:
     """The document stored at path when its digest line matches, else make()'s.
 
-    A corrupt or unreadable entry is rebuilt with a warning and overwritten
-    atomically (mkstemp + os.replace); a write failure degrades to
+    A hit reads the entry once, as bytes, checks the digest over a view of
+    the body and decodes it once, as UTF-8.  A missing entry is a silent
+    miss; a corrupt or unreadable one is rebuilt with a warning.  Either way
+    the document is written, digest line last, to a temp file that replaces
+    the entry atomically (mkstemp + os.replace); a write failure degrades to
     build-without-store.
     """
-    import tempfile
-    from pathlib import Path
+    import hashlib
 
-    if path.exists():
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (FileNotFoundError, NotADirectoryError):  # no entry, or no cache dir yet
+        pass
+    except OSError:
+        print(f"affsat: cache entry {path.name} is unreadable; rebuilding", file=sys.stderr)
+    else:
+        cut = data.find(b"\n")
+        body = memoryview(data)[cut + 1 :]
         try:
-            digest, _, doc = path.read_text().partition("\n")
-            if _sha256(doc) == digest:
+            doc = str(body, "utf-8")
+            if cut >= 0 and hashlib.sha256(body).hexdigest() == data[:cut].decode("utf-8"):
                 return doc
             print(f"affsat: cache entry {path.name} failed its digest check; rebuilding",
                   file=sys.stderr)
-        except (OSError, ValueError):
+        except ValueError:
             print(f"affsat: cache entry {path.name} is unreadable; rebuilding", file=sys.stderr)
     doc = make()
+    _store(path, doc)
+    return doc
+
+
+def _store(path, doc: str) -> None:
+    """Write doc to path's entry: the body first, in blocks, through one
+    sha256, then the digest line into the room left for it."""
+    import hashlib
+    import tempfile
+    from pathlib import Path
+
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(_sha256(doc) + "\n" + doc)
+        digest = hashlib.sha256()
+        with os.fdopen(fd, "wb") as fh:
+            fh.seek(_DIGEST_LINE)
+            for start in range(0, len(doc), _WRITE_CHARS):
+                block = doc[start : start + _WRITE_CHARS].encode("utf-8")
+                digest.update(block)
+                fh.write(block)
+            fh.seek(0)
+            fh.write(digest.hexdigest().encode() + b"\n")
         os.replace(tmp, path)
     except OSError as exc:
         print(f"affsat: cache write failed ({exc}); continuing without store", file=sys.stderr)
         if tmp is not None:
             Path(tmp).unlink(missing_ok=True)
-    return doc
 
 
 def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
-                       node_cap: int = DEFAULT_NODE_CAP, fmt: str = "json") -> str:
+                       node_cap: int = DEFAULT_NODE_CAP, fmt: str = "json") -> str | Iterator[str]:
     """Canonical graph JSON, or its DOT rendering (fmt="dot"), for (lambda,
     budget), served from cache when possible.
 
     Each format has its own entry, {key}.json or {key}.dot, served only when
     its stored digest matches.  A DOT miss is rendered from the JSON entry,
-    so a full miss builds once and writes both.
+    so a full miss builds once and writes both.  An entry is complete when
+    this returns, so a document served through the cache is one string.
+    With no cache the JSON document is returned as the iterator of its
+    blocks (CrystalGraph.json_blocks), for the caller to write as they come,
+    and DOT is rendered from those blocks; the graph is built either way
+    before this returns.
     """
     from pathlib import Path
 
@@ -221,43 +269,58 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
         raise DomainError(f"unknown graph format {fmt!r}: expected 'json' or 'dot'")
     budget = validate_budget(lam.n, budget)
 
-    def build() -> str:
+    def graph():
         from . import crystal
 
-        return crystal.generate_crystal(lam, budget, node_cap=node_cap).to_json_str()
+        return crystal.generate_crystal(lam, budget, node_cap=node_cap)
 
     if cache_dir is None:
-        return dot_from_graph_json(build()) if fmt == "dot" else build()
+        blocks = graph().json_blocks()
+        return dot_from_graph_json(blocks) if fmt == "dot" else blocks
     root = Path(cache_dir)
     if root.exists() and not root.is_dir():
         raise DomainError(f"cache dir {cache_dir!r} exists and is not a directory")
     key = _cache_key(lam, budget)
+
+    def build() -> str:
+        # a miss is served once its entry is complete, so it holds the whole text
+        return graph().to_json_str()
+
     if fmt == "dot":
         return _cached(root / f"{key}.dot",
                        lambda: dot_from_graph_json(_cached(root / f"{key}.json", build)))
     return _cached(root / f"{key}.json", build)
 
 
-# A node's id and c, and an edge, in the layout CrystalGraph.to_json_str writes.
+# A node's id and c, and an edge, in the layout CrystalGraph.json_blocks writes.
 _DOC_NODE = re.compile(r'\{"id":(\d+),"weight":\{"c":\[([-\d,]+)\]')
 _DOC_EDGE = re.compile(r'\{"from":(\d+),"i":(\d+),"to":(\d+)\}')
 
 
-def dot_from_graph_json(doc: str) -> str:
+def dot_from_graph_json(doc: str | Iterable[str]) -> str:
     """DOT rendering of a canonical graph document, read from its text: nodes
-    labelled by weight, edges labelled by residue and colored by residue class."""
+    labelled by weight, edges labelled by residue and colored by residue class.
+
+    doc is the document, or blocks of whole records whose concatenation is
+    the document (CrystalGraph.json_blocks); each block is read and let go
+    in turn, and keeps only its rendered lines.
+    """
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
-    nodes = [f'  n{k} [label="c=[{c.replace(",", ", ")}]"];' for k, c in _DOC_NODE.findall(doc)]
-    edges = [f'  n{a} -> n{b} [label="{i}", color="{palette[int(i) % len(palette)]}"];'
-             for a, i, b in _DOC_EDGE.findall(doc)]
-    return "\n".join(["digraph crystal {", "  rankdir=TB;", *nodes, *edges, "}", ""])
+    nodes, edges = [], []
+    for block in (doc,) if isinstance(doc, str) else doc:
+        nodes.append("".join([f'  n{k} [label="c=[{c.replace(",", ", ")}]"];\n'
+                              for k, c in _DOC_NODE.findall(block)]))
+        edges.append("".join([f'  n{a} -> n{b} [label="{i}", '
+                              f'color="{palette[int(i) % len(palette)]}"];\n'
+                              for a, i, b in _DOC_EDGE.findall(block)]))
+    return "".join(["digraph crystal {\n  rankdir=TB;\n", *nodes, *edges, "}\n"])
 
 
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_crystal(args) -> tuple[str, int]:
+def _cmd_crystal(args) -> tuple[str | Iterator[str], int]:
     lam = _weight(args, "-w", "--lam")
     return cache_get_or_build(lam, _resolve_budget(args, lam),
                               args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None,
@@ -449,8 +512,30 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"affsat: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write(doc if doc.endswith("\n") else doc + "\n")
+    try:
+        _write(doc)
+    except BrokenPipeError:
+        # The reader closed stdout early and wants no more.  stdout's
+        # descriptor goes to os.devnull, so the interpreter's final flush of
+        # what is still buffered stays silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except MemoryError:
+        print("affsat: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     return code
+
+
+def _write(doc: str | Iterable[str]) -> None:
+    """Write doc, a document or the blocks of one, to stdout as they come,
+    ending it with a newline, and flush."""
+    last = ""
+    for last in (doc,) if isinstance(doc, str) else doc:
+        sys.stdout.write(last)
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 if __name__ == "__main__":

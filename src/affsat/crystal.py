@@ -37,6 +37,10 @@ and backend_name().
 The cyclic collector is paused for the BFS, which allocates nothing it
 could free, and the caller's setting restored after.  (charge, parts) words
 are materialized only at the API edge (CrystalGraph.words, node()).
+The canonical document comes from one serializer, CrystalGraph.json_blocks:
+blocks of whole records, one % format per JSON_BLOCK_NODES nodes or their
+edges, for a writer to consume as they come.  to_json_str joins them and
+canonical_digest hashes them, one block at a time.
 
 The multiplicity queries build no graph: weight multiplicities and tensor
 splittings are Freudenthal multiplicities, asked by the lowering vectors a
@@ -58,6 +62,7 @@ from __future__ import annotations
 import gc
 import json
 from collections import Counter, namedtuple
+from collections.abc import Iterator
 from functools import cached_property
 from operator import le, mul, sub
 from types import MappingProxyType
@@ -80,6 +85,10 @@ from .cartan import (
 )
 from .errors import ConsistencyError
 from .fock import ChargedPartition
+
+# Nodes per block of the canonical document (CrystalGraph.json_blocks): each
+# block is one % format over this many nodes, or over their edges.
+JSON_BLOCK_NODES = 4096
 
 # A factor is (charge, parts); a word is a tuple of factors, an id word a
 # tuple of factor ids in a FactorTable.
@@ -191,7 +200,12 @@ class CrystalGraph:
         return json.loads(self.to_json_str())
 
     def to_json_str(self) -> str:
-        """The canonical document, written as text; the only serializer.
+        """The canonical document as one string: the join of json_blocks()."""
+        return "".join(self.json_blocks())
+
+    def json_blocks(self) -> Iterator[str]:
+        """The canonical document, written as text in blocks of whole
+        records; the only serializer.
 
         Nodes are numbered in increasing word order and edges sorted by
         (from, i).  Keys are sorted at every level, as canonical_dumps
@@ -202,7 +216,11 @@ class CrystalGraph:
              "nodes":[{"id":..,"weight":{"c":[..],"n":..,"w":[..]},
                        "word":[{"charge":..,"parts":[..]},..]},..]}
 
-        A node's weight is lambda lowered by its cvec.
+        A node's weight is lambda lowered by its cvec.  The node order is
+        computed here, before the first block; each block then comes from
+        one % format over JSON_BLOCK_NODES nodes, or over their edges, so
+        no block splits a record and only one block's arguments are held
+        at a time.
         """
         # The charge at each word position is the same in every word, so
         # words order as the tuples of their factors' ranks, and so as those
@@ -216,39 +234,60 @@ class CrystalGraph:
         keys = [0] * len(coded)
         for k in range(len(coded[0])):
             keys = [key * base + rank[word[k]] for key, word in zip(keys, coded)]
-        order = sorted(range(len(coded)), key=keys.__getitem__)
-        relabel = [0] * len(order)
-        for new, old in enumerate(order):
+        # order and relabel share one int object per node id, not one each
+        ids = list(range(len(coded)))
+        order = sorted(ids, key=keys.__getitem__)
+        del keys
+        relabel = ids.copy()
+        for new, old in zip(ids, order):
             relabel[old] = new
+        return self._blocks(order, relabel)
 
-        factor_text = [f'{{"charge":{charge},"parts":{_ints(parts)}}}' for charge, parts in factors]
+    def _blocks(self, order: list[int], relabel: list[int]) -> Iterator[str]:
+        """json_blocks' blocks, nodes numbered by order and relabel."""
+        coded, n, slots, cvecs = self.id_words, self.n, self.slots, self.cvecs
+        size = JSON_BLOCK_NODES
+        spans = range(0, len(order), size)
+        yield f'{{"budget":{canonical_dumps(list(self.budget))},"edges":['
+        sep = ""
+        for start in spans:
+            edge_args = []
+            for new, old in enumerate(order[start : start + size], start):
+                for i, b in enumerate(slots[old * n : old * n + n]):
+                    if b >= 0:
+                        edge_args += (new, i, relabel[b])
+            if edge_args:
+                edges = ",".join(['{"from":%d,"i":%d,"to":%d}'] * (len(edge_args) // 3))
+                yield sep + edges % tuple(edge_args)
+                sep = ","
+        yield f'],"lambda":{canonical_dumps(self.lam.to_json())},"nodes":['
+
+        factor_text = [f'{{"charge":{charge},"parts":{_ints(parts)}}}'
+                       for charge, parts in self.factors]
         lam_c = self.lam.c
-        weight_tail = f',"n":{self.n},"w":{canonical_dumps(list(self.lam.w))}}}'
+        weight_tail = f',"n":{n},"w":{canonical_dumps(list(self.lam.w))}}}'
         weight_text: dict[tuple[int, ...], str] = {}
-        n, slots, cvecs = self.n, self.slots, self.cvecs
-        node_args = []
-        edge_args = []
-        for new, old in enumerate(order):
-            cvec = cvecs[old]
-            weight = weight_text.get(cvec)
-            if weight is None:
-                weight = weight_text[cvec] = (
-                    '{"c":' + _ints([a + b for a, b in zip(lam_c, cvec)]) + weight_tail)
-            node_args += (new, weight, ",".join(map(factor_text.__getitem__, coded[old])))
-            for i, b in enumerate(slots[old * n : old * n + n]):
-                if b >= 0:
-                    edge_args += (new, i, relabel[b])
-        nodes = ",".join(['{"id":%d,"weight":%s,"word":[%s]}'] * (len(node_args) // 3))
-        edges = ",".join(['{"from":%d,"i":%d,"to":%d}'] * (len(edge_args) // 3))
-        return (f'{{"budget":{canonical_dumps(list(self.budget))},"edges":['
-                + edges % tuple(edge_args)
-                + f'],"lambda":{canonical_dumps(self.lam.to_json())},"nodes":['
-                + nodes % tuple(node_args) + "]}")
+        for start in spans:
+            node_args = []
+            for new, old in enumerate(order[start : start + size], start):
+                cvec = cvecs[old]
+                weight = weight_text.get(cvec)
+                if weight is None:
+                    weight = weight_text[cvec] = (
+                        '{"c":' + _ints([a + b for a, b in zip(lam_c, cvec)]) + weight_tail)
+                node_args += (new, weight, ",".join(map(factor_text.__getitem__, coded[old])))
+            nodes = ",".join(['{"id":%d,"weight":%s,"word":[%s]}'] * (len(node_args) // 3))
+            yield ("," if start else "") + nodes % tuple(node_args)
+        yield "]}"
 
     def canonical_digest(self) -> str:
+        """sha256 hex digest of the canonical document, hashed block by block."""
         import hashlib
 
-        return hashlib.sha256(self.to_json_str().encode()).hexdigest()
+        digest = hashlib.sha256()
+        for block in self.json_blocks():
+            digest.update(block.encode())
+        return digest.hexdigest()
 
 
 def _ints(xs) -> str:

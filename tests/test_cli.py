@@ -436,6 +436,78 @@ def test_node_cap_bounds_building_only(tmp_path, capsys, fmt):
     assert run_cli(capsys, *capped) == (0, want, "")
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize("cached", [False, True])
+def test_capped_crystal_writes_nothing(tmp_path, capsys, fmt, cached):
+    # The graph is built, and refused, before the first stdout byte.
+    cache = ["--cache-dir", str(tmp_path)] if cached else []
+    code, out, err = run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "3",
+                             "--node-cap", "5", "--format", fmt, *cache)
+    assert (code, out) == (3, "") and "node cap of 5 nodes" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_crystal_writes_in_less_memory_than_its_document(monkeypatch):
+    # crystal writes the document's blocks as they come, so what serializing
+    # and writing allocate at their peak stays below the document's length;
+    # a document built whole before its write takes several times that.
+    import tracemalloc
+
+    from affsat import crystal
+
+    graph = crystal.generate_crystal(Weight(3, (1, 1, 0), (0, 0, 0)), (9, 9, 9))
+    assert len(graph) >= 40_000
+    length = len(graph.to_json_str())
+    monkeypatch.setattr(crystal, "generate_crystal", lambda *args, **kwargs: graph)
+
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            pass
+
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()):
+            code = main(["crystal", "-n", "3", "-w", "1,1,0", "--depth", "9"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < length, (peak, length)
+
+
+@pytest.mark.parametrize("lam, depth, head", [("1,1,0", "8", 20), ("1,1,0", "2", 0),
+                                             ("1,0,0", "1", 0)])
+def test_a_reader_that_closes_early_ends_crystal_quietly(lam, depth, head):
+    # The 3.6 MB document at depth 8 is far larger than a pipe's buffer, so
+    # the child is still writing blocks when its reader goes after 20 bytes.
+    # The other two readers are gone before the child starts: the first
+    # block fails, or the whole small document, once stdout is flushed.  The
+    # child's stdout is block-buffered, as in a shell pipeline.
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([*AFFSAT, "crystal", "-n", "3", "-w", lam, "--depth", depth],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(head) == b'{"budget":[8,8,8],"e'[:head]
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_memory_error_while_writing_exits_3(capsys, monkeypatch):
+    from affsat import crystal
+
+    def exhausted(self, *args):
+        yield '{"budget":[2,2],"edges":['
+        raise MemoryError
+
+    monkeypatch.setattr(crystal.CrystalGraph, "_blocks", exhausted)
+    assert run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "2") == (
+        3, '{"budget":[2,2],"edges":[', "affsat: out of memory\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("crystal", "-n", "3", "-w", "1,1,0", "--depth", "3"),
     ("crystal", "-n", "3", "-w", "1,1,0", "--depth", "3", "--format", "dot"),

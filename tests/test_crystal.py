@@ -30,6 +30,7 @@ from affsat import (
     weight_multiplicity,
 )
 from affsat import _kernels_py as kernels
+from affsat import cli, crystal
 from affsat.cli import dot_from_graph_json
 from affsat.crystal import canonical_charges, tensor_splittings
 
@@ -687,6 +688,14 @@ def test_canonical_digest_pinned(w, c, budget, nodes, digest):
     assert g.canonical_digest() == digest
 
 
+def test_canonical_digest_hashes_the_blocks(monkeypatch):
+    # with no joined text to fall back on, and blocks of 3 nodes
+    monkeypatch.delattr(crystal.CrystalGraph, "to_json_str")
+    monkeypatch.setattr(crystal, "JSON_BLOCK_NODES", 3)
+    for w, c, budget, _, digest in PINNED_DIGESTS:
+        assert generate_crystal(Weight(len(w), w, c), budget).canonical_digest() == digest
+
+
 def _reference_json_str(g):
     """The dict-tree route the emitter replaced: a dict per node with a
     validated Weight, then json.dumps over the whole tree with sorted keys."""
@@ -746,6 +755,27 @@ def test_dot_matches_dict_walk(n):
     for g in _emitter_graphs(n):
         doc = g.to_json_str()
         assert dot_from_graph_json(doc) == _reference_dot(json.loads(doc)), (g.lam, g.budget)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_blocks_of_any_size_give_the_document(n, size, monkeypatch, tmp_path, capsys):
+    # Blocks of 1 and 3 nodes split every document at many record
+    # boundaries, empty edge blocks included; the joined text, and what the
+    # CLI writes with no cache and through a cold and a warm cache, are the
+    # dict-tree document and the dict-walk DOT all the same.
+    monkeypatch.setattr(crystal, "JSON_BLOCK_NODES", size)
+    for k, g in enumerate(_emitter_graphs(n)):
+        want = _reference_json_str(g)
+        assert g.to_json_str() == want, (g.lam, g.budget)
+        want_dot = _reference_dot(json.loads(want))
+        argv = ["crystal", "--lam", json.dumps(g.lam.to_json()),
+                "--budget", ",".join(map(str, g.budget))]
+        for fmt, doc in (("json", want + "\n"), ("dot", want_dot)):
+            cache = ["--cache-dir", str(tmp_path / f"{k}.{fmt}")]
+            for extra in ([], cache, cache):
+                assert cli.main([*argv, "--format", fmt, *extra]) == 0
+                assert capsys.readouterr() == (doc, ""), (g.lam, g.budget, fmt, extra)
 
 
 def test_graph_json_schema():
