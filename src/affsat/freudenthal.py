@@ -39,11 +39,13 @@ BoxCapError before the first point when there are more than
 DEFAULT_NODE_CAP: a dominant point is one lookup, and any other copies the
 entry of its reflection s_i mu at a negative pairing, which lies earlier in
 the same walk, so no point of the box runs a reflection loop.  Results are
-memoized per (lambda, dominant nu) for the life of the process, reductions
-only per evaluation.  The recursion at a dominant lam - nu.alpha stores
-lam - nu.alpha + k delta for every k <= min(nu) (the imaginary-root terms
-pair to the level, which is positive), so a miss with min(nu) >=
-DEFAULT_NODE_CAP raises RecursionCapError before any work.
+memoized per (pairings of lambda, dominant nu) for the life of the process,
+reductions only per evaluation: one table per module, which every
+delta-shifted label lambda - s delta shares, as mult(lambda - u.alpha) reads
+lambda only through its pairings.  The recursion at a dominant
+lam - nu.alpha stores lam - nu.alpha + k delta for every k <= min(nu) (the
+imaginary-root terms pair to the level, which is positive), so a miss with
+min(nu) >= DEFAULT_NODE_CAP raises RecursionCapError before any work.
 Every entry is a deterministic function of its key, so concurrent callers
 can at worst compute one twice, and results do not depend on call order.
 """
@@ -98,10 +100,15 @@ def positive_roots(n: int, degree_bound: int) -> tuple[PositiveRoot, ...]:
     return tuple(chain.from_iterable(_roots_of_degree(n, k) for k in range(degree_bound + 1)))
 
 
-# Per dominant highest weight lam: its pairings, and the multiplicity of each
-# dominant nu <= lam keyed by its lowering vector.  Kept for the life of the
-# process, so later queries at the same lam are lookups.
-_memo: dict[Weight, tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
+# One table per module: mult(lam - nu.alpha) depends on lam only through its
+# pairings, as L(lam - s delta) is L(lam) shifted by -s delta, so _modules maps
+# the pairings to (pairings, multiplicity of each dominant nu keyed by its
+# lowering vector), and _memo maps each label lam already seen to its
+# module's entry, which every delta-shifted label shares.  Both are kept for
+# the life of the process, so later queries at any such lam are lookups.
+_Entry = tuple[tuple[int, ...], dict[tuple[int, ...], int]]
+_modules: dict[tuple[int, ...], _Entry] = {}
+_memo: dict[Weight, _Entry] = {}
 
 
 def _weyl_order(n: int, J) -> int:
@@ -196,12 +203,13 @@ def _evaluate(plam: tuple[int, ...], top: tuple[int, ...], memo: dict) -> int:
     return memo[top]
 
 
-def _entry(lam: Weight) -> tuple[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """lam's memo entry (its pairings and its memo), made and lam checked on
-    first use."""
+def _entry(lam: Weight) -> _Entry:
+    """lam's module entry (its pairings and their memo), lam checked on its
+    first use and the entry made on the first use of its pairings."""
     entry = _memo.get(lam)
     if entry is None:
-        entry = _memo.setdefault(lam, (highest_pairings(lam), {(0,) * lam.n: 1}))
+        plam = highest_pairings(lam)
+        entry = _memo[lam] = _modules.setdefault(plam, (plam, {(0,) * lam.n: 1}))
     return entry
 
 
@@ -211,7 +219,8 @@ def multiplicity_at(lam: Weight, u: tuple[int, ...] | None) -> int:
 
     Zero when u is None (off the root lattice) or when the dominant
     representative lam - nu.alpha of that weight is not below lambda.  lam
-    must be dominant of level >= 1, checked on its first lookup.  A memo
+    must be dominant of level >= 1, checked on the first lookup of each
+    label, even when a delta-shift of it already filled its module.  A memo
     miss at nu with min(nu) >= DEFAULT_NODE_CAP raises RecursionCapError.
     """
     plam, memo = _entry(lam)

@@ -9,6 +9,7 @@ from affsat import (
     DEFAULT_NODE_CAP,
     ConsistencyError,
     DomainError,
+    NoHighestWeightError,
     PositiveRoot,
     ResourceCapError,
     Weight,
@@ -308,15 +309,23 @@ def test_frenkel_kac_strings():
     assert tuple(coloured_partitions(2, d) for d in range(5)) == (1, 2, 5, 10, 20)
 
 
-def test_memo_holds_dominant_weights_only():
-    lam = Weight(2, (1, 0), (3, 3))  # Lambda_0 - 3 delta: a key no other test fills
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """Empty label and module tables for one test, so that no other test's
+    lookups fill, or leave unfilled, the modules it reads."""
+    monkeypatch.setattr(freudenthal, "_memo", {})
+    monkeypatch.setattr(freudenthal, "_modules", {})
+
+
+def test_memo_holds_dominant_weights_only(fresh_memo):
+    lam = Weight(2, (1, 0), (3, 3))  # Lambda_0 - 3 delta
     assert freudenthal_multiplicity(lam, lowered(lam, (80, 80))) == coloured_partitions(1, 80)
     _, memo = freudenthal._memo[lam]
     assert len(memo) <= 81
     assert all(lowered(lam, u).is_dominant() for u in memo)
 
 
-def test_each_weight_reduced_once_per_evaluation(monkeypatch):
+def test_each_weight_reduced_once_per_evaluation(monkeypatch, fresh_memo):
     calls = []
     original = freudenthal.dominant_lowering
 
@@ -325,11 +334,92 @@ def test_each_weight_reduced_once_per_evaluation(monkeypatch):
         return original(plam, u)
 
     monkeypatch.setattr(freudenthal, "dominant_lowering", recorder)
-    lam = Weight(3, (1, 0, 0), (5, 5, 5))  # Lambda_0 - 5 delta: a key no other test fills
+    lam = Weight(3, (1, 0, 0), (5, 5, 5))  # Lambda_0 - 5 delta
     # deep enough for more than 100 reductions under the orbit sum (120)
     assert freudenthal_multiplicity(lam, lowered(lam, (14, 14, 14))) == coloured_partitions(2, 14)
     assert len(calls) > 100
     assert len(set(calls)) == len(calls)
+
+
+def test_delta_shifted_labels_share_one_module(monkeypatch, fresh_memo):
+    # L(lam - s delta) is L(lam) shifted by -s delta: one table serves both
+    evaluations = []
+    evaluate = freudenthal._evaluate
+    monkeypatch.setattr(freudenthal, "_evaluate",
+                        lambda *args: evaluations.append(args[1]) or evaluate(*args))
+    shallow, deep = Weight(2, (1, 0), (3, 3)), Weight(2, (1, 0), (9, 9))
+    want = coloured_partitions(1, 20)
+    assert freudenthal.multiplicity_at(shallow, (20, 20)) == want
+    assert evaluations == [(20, 20)]
+    assert freudenthal.multiplicity_at(deep, (20, 20)) == want
+    assert evaluations == [(20, 20)]
+    assert freudenthal._memo[shallow][1] is freudenthal._memo[deep][1]
+    assert len(freudenthal._modules) == 1
+
+
+def test_distinct_pairings_do_not_share_a_module(fresh_memo):
+    lam0, lam1 = fundamental_weight(2, 0), fundamental_weight(2, 1)
+    assert freudenthal.multiplicity_at(lam0, (2, 2)) == 2
+    assert freudenthal.multiplicity_at(lam1, (2, 2)) == 2
+    assert freudenthal._memo[lam0][1] is not freudenthal._memo[lam1][1]
+    assert set(freudenthal._modules) == {(1, 0), (0, 1)}
+
+
+def test_a_bad_label_raises_before_it_enters_either_table(fresh_memo):
+    # a level-0 label and a non-dominant one raise from the gate, after a
+    # good label has made its module, and leave both tables as they were
+    good = Weight(2, (1, 0), (0, 0))
+    freudenthal.multiplicity_at(good, (1, 1))
+    for lam, error in [(Weight(2, (0, 0), (0, 0)), NoHighestWeightError),
+                       (Weight(2, (1, 0), (1, 0)), DomainError)]:
+        for call in (freudenthal.multiplicity_at, freudenthal.box_multiplicities):
+            with pytest.raises(error):
+                call(lam, (1, 1))
+    assert list(freudenthal._memo) == [good]
+    assert list(freudenthal._modules) == [(1, 0)]
+
+
+def test_each_label_is_checked_once(monkeypatch, fresh_memo):
+    calls = []
+    highest_pairings = freudenthal.highest_pairings
+    monkeypatch.setattr(freudenthal, "highest_pairings",
+                        lambda lam: calls.append(lam) or highest_pairings(lam))
+    labels = [Weight(3, (0, 1, 1), (s, s, s)) for s in (0, 4, 11)]
+    for lam in labels * 3:
+        freudenthal.multiplicity_at(lam, (2, 2, 2))
+        freudenthal.box_multiplicities(lam, (1, 1, 1))
+    assert calls == labels
+    assert len(freudenthal._modules) == 1
+
+
+# (lambda - s delta, s') pairs: s' != s serves the same module's table
+SHIFT_PAIRS = [(0, 37), (5, 0), (37, 5)]
+SHIFT_BOXES = {2: (6, 6), 3: (3, 3, 3), 4: (2, 2, 2, 2)}
+
+
+@pytest.mark.parametrize("n", sorted(SHIFT_BOXES))
+def test_shifted_tables_match_the_crystal(monkeypatch, fresh_memo, n):
+    # generate_crystal(lam - s delta) against the table a label lam - s' delta
+    # is served from the module lam - s delta filled, evaluating nothing; and
+    # the two labels' graphs are one graph.
+    def no_work(*args):
+        raise AssertionError("evaluated")
+
+    box = SHIFT_BOXES[n]
+    evaluate = freudenthal._evaluate
+    for lam in dominant_bases(n, 2):
+        for s, t in SHIFT_PAIRS:
+            top, other = lowered(lam, (s,) * n), lowered(lam, (t,) * n)
+            graph = generate_crystal(top, box)
+            counts = graph.weight_counts()
+            want = [counts.get(u, 0) for u in itertools.product(*(range(b + 1) for b in box))]
+            assert freudenthal.box_multiplicities(top, box) == want, (top, box)
+            monkeypatch.setattr(freudenthal, "_evaluate", no_work)
+            assert freudenthal.box_multiplicities(other, box) == want, (other, box)
+            monkeypatch.setattr(freudenthal, "_evaluate", evaluate)
+            shifted = generate_crystal(other, box)
+            for field in ("factors", "id_words", "cvecs", "slots"):
+                assert getattr(shifted, field) == getattr(graph, field), (top, other, field)
 
 
 # mult(lambda - d delta) for d = 0, 1, ..., at levels 2 and 3, recorded from
