@@ -17,14 +17,21 @@ with 0 standing for "none".  Adding the good addable is the lowering operator
 of the level-1 crystal on partitions; removing the good removable raises.
 A word is a tuple of factor ids in a FactorTable, which interns each
 (charge, parts) factor once and memoizes its scan and its lowerings:
-FactorTable.intern is the one place scan tables are filled, and fold the one
-place they are cancelled across a word.  fold reports lowering only; raising
-is the fold of the mirrored word (word_scan), so the BFS in expand_level
-pays for one side only and keeps its own inline lowering through the memo.
-Everywhere else a (charge, parts) word is scanned by FactorTable.scan and
-lowered or raised by FactorTable.act, the one place e_i and f_i act on a
-word (the level-1 Fock crystal is its one-factor case).  A finished crystal
-graph keeps only its table's factors list, not the scans, memo or ids.
+FactorTable.intern is the one place scan tables are filled.  fold cancels
+them across a word for lowering only; raising is the fold of the mirrored
+word (word_scan).  fold and word_scan serve the API-edge operators: a
+(charge, parts) word is scanned by FactorTable.scan and lowered or raised by
+FactorTable.act, the one place e_i and f_i act on a word outside the BFS
+(the level-1 Fock crystal is its one-factor case).  The tier-1 reference
+BFS holds the engine to them.
+
+The BFS in expand_level runs the same lowering cancellation inline over
+each word's factor ids, and lowers through the memo, because there the
+fold runs once per (node, residue): a tables list per node and a fold call
+per residue took about 0.4 s of the 1.8 s that generating the benchmark's
+77 seed-1 graph_cold graphs took (2 cores, Python 3.11.7).  A finished
+crystal graph keeps only its table's factors list, not the scans, memo or
+ids.
 """
 
 from .errors import DomainError, ResourceCapError
@@ -63,7 +70,7 @@ def fold(tables, i):
 
     tables are the word's factors' scan tables.  Factor k contributes eps_k
     removables then phi_k addables; addable-then-removable adjacencies
-    cancel across factor boundaries (the only place they are cancelled).
+    cancel across factor boundaries (expand_level runs the same loop inline).
     Returns (phi, pos_f, add_row): the surviving addables, the index of the
     factor owning the first of them and its good row there, or (0, -1, 0).
     """
@@ -161,40 +168,59 @@ def expand_level(frontier, words, cvecs, index, slots, budget, table, node_cap):
     so the children made under f_i from one parent cvec share one cvec tuple.
     Reaching node_cap nodes raises ResourceCapError before the node is
     stored.
+
+    Each (node, residue) runs fold(tables, i) inline over the word's factor
+    ids: factor 0's removables meet no addable before them, so its entry
+    opens the fold and the later factors cancel against it as in fold.
+    Every word of one build has the same length, the level; at level 1 the
+    child is the lowered factor alone, with no slicing.
     """
-    scans, lowered, n = table.scans, table.lowered, table.n
+    scans, lowered, factors, n = table.scans, table.lowered, table.factors, table.n
+    intern, find = table.intern, index.get
     empty = [-1] * n
+    residues = range(n)
+    rest = range(1, len(words[0]))
     child_cvecs = {}
     next_frontier = []
+    add_word, add_cvec, add_next = words.append, cvecs.append, next_frontier.append
     for node_id in frontier:
         word, c = words[node_id], cvecs[node_id]
-        tables = list(map(scans.__getitem__, word))
         base = node_id * n
-        for i in range(n):
+        for i in residues:
             if c[i] >= budget[i]:
                 continue
-            phi, pos_f, add_row = fold(tables, i)
-            if not phi:
+            _, size, add_row, _ = scans[word[0]][i]
+            pos_f = 0
+            for k in rest:
+                f_eps, f_phi, f_add, _ = scans[word[k]][i]
+                if f_eps:
+                    size = size - f_eps if size > f_eps else 0
+                if f_phi:
+                    if not size:
+                        pos_f = k
+                        add_row = f_add
+                    size += f_phi
+            if not size:
                 continue
             f = word[pos_f]
             g = lowered[f][i]
             if g is None:
-                charge, parts = table.factors[f]
-                g = lowered[f][i] = table.intern((charge, add_cell(parts, add_row)))
-            child = word[:pos_f] + (g,) + word[pos_f + 1 :]
-            child_id = index.get(child)
+                charge, parts = factors[f]
+                g = lowered[f][i] = intern((charge, add_cell(parts, add_row)))
+            child = word[:pos_f] + (g,) + word[pos_f + 1 :] if rest else (g,)
+            child_id = find(child)
             if child_id is None:
                 child_id = len(words)
                 if child_id >= node_cap:
                     raise ResourceCapError(node_cap, budget, child_id + 1)
                 index[child] = child_id
-                words.append(child)
+                add_word(child)
                 cc = child_cvecs.get((c, i))
                 if cc is None:
                     cc = child_cvecs[(c, i)] = c[:i] + (c[i] + 1,) + c[i + 1 :]
-                cvecs.append(cc)
+                add_cvec(cc)
                 slots.extend(empty)
-                next_frontier.append(child_id)
+                add_next(child_id)
             slots[base + i] = child_id
     return next_frontier
 

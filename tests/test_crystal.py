@@ -224,18 +224,29 @@ def _reference_generate(lam, budget):
     return words, cvecs, edges
 
 
+# Levels past 2 per n, each with the largest uniform budget it runs to: words
+# of three and four factors, where a cancellation in the fold reaches across
+# more than one boundary.  At n = 2 no budget up to 2 tells apart a fold that
+# skips the cancellation from the third factor on, so n = 2 runs to 3.
+DEEP_LEVELS = {2: ((3, 3), (4, 3)), 3: ((3, 2),), 4: ()}
+
+
 @pytest.mark.parametrize("shift", [0, -7])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_engine_matches_reference_bfs(n, shift):
     budgets = [(b,) * n for b in range(4)] + [(3, 1, 2, 0)[:n]]
-    for base in dominant_bases(n, 2):
+    cases = [(base, budget) for base in dominant_bases(n, 2) for budget in budgets]
+    cases += [(base, budget)
+              for level, top in DEEP_LEVELS[n]
+              for base in dominant_bases(n, level) if sum(base.w) == level
+              for budget in [(b,) * n for b in range(top + 1)] + [(2, 1, 0)[:n]]]
+    for base, budget in cases:
         lam = Weight(n, base.w, (-shift,) * n)
-        for budget in budgets:
-            g = generate_crystal(lam, budget)
-            words, cvecs, edges = _reference_generate(lam, budget)
-            assert g.words == words, (base.w, budget)
-            assert g.cvecs == cvecs, (base.w, budget)
-            assert g.edges == edges, (base.w, budget)
+        g = generate_crystal(lam, budget)
+        words, cvecs, edges = _reference_generate(lam, budget)
+        assert g.words == words, (base.w, budget)
+        assert g.cvecs == cvecs, (base.w, budget)
+        assert g.edges == edges, (base.w, budget)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -674,6 +685,21 @@ PINNED_DIGESTS = [
      "88fcec92c81ab040abca0a49ff9210cb60bb76ae8d8fe8ecbf9e3618584ab67d"),
     ((1, 1, 0), (0, 0, 0), (0, 0, 0), 1,
      "586c91520b797bcbe7b7f81b2b8ca6174426d28455f9e982a796a6ac806699b2"),
+    # the benchmark's graph classes not pinned above, at their depths; at
+    # level 1 every node is a new factor and a one-factor word's child is its
+    # lowered factor alone
+    ((1, 0, 0), (0, 0, 0), (8, 8, 8), 2010,
+     "54450b2a20a83f7f4875f1ee8f6ed845e788025afb86c697985e418887ecda3d"),
+    ((1, 0), (0, 0), (16, 16), 2576,
+     "1784293367246ed7fbda2685f1d0c338f6f71e4fba273a7d570146929fea5f61"),
+    ((1, 0, 0, 0), (0, 0, 0, 0), (5, 5, 5, 5), 1208,
+     "cf71845c7bca659c5058392fd51f6c9ecde688128dd8ee65f075864d141fa423"),
+    ((1, 0, 1, 0), (0, 0, 0, 0), (4, 4, 4, 4), 3644,
+     "3f8a31195483d7defc4197d10cde4f835b9ff579eaff45ed1e39eb12d84ceacf"),
+    ((1, 1), (0, 0), (12, 12), 4487,
+     "8c5c8514eb87d801871b706a83fef14cbd4353d9ffbc7987952e99927bbbac68"),
+    ((2, 0), (0, 0), (10, 10), 1322,
+     "520f9303aa6167cf1890d7b46f81f2a039c77515c63b50a18bccd8ee5d3ce481"),
 ]
 
 
