@@ -17,21 +17,19 @@ with 0 standing for "none".  Adding the good addable is the lowering operator
 of the level-1 crystal on partitions; removing the good removable raises.
 A word is a tuple of factor ids in a FactorTable, which interns each
 (charge, parts) factor once and memoizes its scan and its lowerings:
-FactorTable.intern is the one place scan tables are filled.  fold cancels
-them across a word for lowering only; raising is the fold of the mirrored
-word (word_scan).  fold and word_scan serve the API-edge operators: a
-(charge, parts) word is scanned by FactorTable.scan and lowered or raised by
-FactorTable.act, the one place e_i and f_i act on a word outside the BFS
-(the level-1 Fock crystal is its one-factor case).  The tier-1 reference
-BFS holds the engine to them.
+FactorTable.intern is the one place scan tables are filled.  word_scan
+cancels the scans across a word in one pass and reads off both operators.
+It serves the API edge: FactorTable.scan runs it on a (charge, parts) word
+and FactorTable.act lowers or raises the word by it, the one place e_i and
+f_i act on a word outside the BFS (the level-1 Fock crystal is its
+one-factor case).  The tier-1 reference BFS holds the engine to it.
 
-The BFS in expand_level runs the same lowering cancellation inline over
-each word's factor ids, and lowers through the memo, because there the
-fold runs once per (node, residue): a tables list per node and a fold call
-per residue took about 0.4 s of the 1.8 s that generating the benchmark's
-77 seed-1 graph_cold graphs took (2 cores, Python 3.11.7).  A finished
-crystal graph keeps only its table's factors list, not the scans, memo or
-ids.
+expand_level runs only the lowering half of word_scan, inline over each
+word's factor ids, and lowers through the memo, because there the scan
+runs once per (node, residue): a tables list per node and a call per
+residue took about 0.4 s of the 1.8 s that generating the benchmark's 77
+seed-1 graph_cold graphs took (2 cores, Python 3.11.7).  A finished crystal
+graph keeps only its table's factors list, not the scans, memo or ids.
 """
 
 from .errors import DomainError, ResourceCapError
@@ -65,48 +63,37 @@ def signature_scan(parts, charge, n):
     )
 
 
-def fold(tables, i):
-    """Lowering side of the signature rule across a word, at residue i.
+def word_scan(tables, i):
+    """The signature rule across a word at residue i, in one pass.
 
     tables are the word's factors' scan tables.  Factor k contributes eps_k
-    removables then phi_k addables; addable-then-removable adjacencies
-    cancel across factor boundaries (expand_level runs the same loop inline).
-    Returns (phi, pos_f, add_row): the surviving addables, the index of the
-    factor owning the first of them and its good row there, or (0, -1, 0).
+    removables then phi_k addables; its removables cancel against the
+    addables still open before it, and those past the open ones survive.
+    Returns (eps, phi, pos_f, pos_e, add_row, rem_row): the surviving
+    removables and addables, the indices of the factors owning the first
+    surviving addable (where f_i acts) and the last surviving removable
+    (where e_i acts), -1 when there is none, and the good rows inside them.
     """
-    size = 0
-    pos_f = -1
-    add_row = 0
+    eps = phi = 0
+    pos_f = pos_e = -1
+    add_row = rem_row = 0
     for k, table in enumerate(tables):
-        f_eps, f_phi, f_add, _ = table[i]
-        if f_eps:
-            size = size - f_eps if size > f_eps else 0
+        f_eps, f_phi, f_add, f_rem = table[i]
+        if f_eps > phi:
+            eps += f_eps - phi
+            pos_e = k
+            rem_row = f_rem
+            phi = 0
+        else:
+            phi -= f_eps
         if f_phi:
-            if not size:
+            if not phi:
                 pos_f = k
                 add_row = f_add
-            size += f_phi
-    if not size:
-        return 0, -1, 0
-    return size, pos_f, add_row
-
-
-def word_scan(tables, i):
-    """Both sides of the signature rule across a word, by two folds.
-
-    Raising is lowering of the mirrored word: factors reversed, each entry
-    (eps, phi, add, rem) read as (phi, eps, rem, add), so its surviving
-    addables are the word's surviving removables and its first one the
-    word's last.  Returns (eps, phi, pos_f, pos_e, add_row, rem_row): totals,
-    the factor indices where lowering / raising act (-1 when undefined), and
-    the good rows inside those factors.
-    """
-    phi, pos_f, add_row = fold(tables, i)
-    entries = [table[i] for table in reversed(tables)]
-    mirrored = [((f_phi, f_eps, f_rem, f_add),) for f_eps, f_phi, f_add, f_rem in entries]
-    eps, pos_m, rem_row = fold(mirrored, 0)
-    pos_e = len(tables) - 1 - pos_m if eps else -1
-    return (eps, phi, pos_f, pos_e, add_row, rem_row)
+            phi += f_phi
+    if not phi:
+        pos_f, add_row = -1, 0
+    return eps, phi, pos_f, pos_e, add_row, rem_row
 
 
 class FactorTable:
@@ -169,9 +156,9 @@ def expand_level(frontier, words, cvecs, index, slots, budget, table, node_cap):
     Reaching node_cap nodes raises ResourceCapError before the node is
     stored.
 
-    Each (node, residue) runs fold(tables, i) inline over the word's factor
-    ids: factor 0's removables meet no addable before them, so its entry
-    opens the fold and the later factors cancel against it as in fold.
+    Each (node, residue) runs the lowering half of word_scan inline over the
+    word's factor ids: factor 0's removables meet no addable before them, so
+    its entry opens the pass and the later factors cancel against it.
     Every word of one build has the same length, the level; at level 1 the
     child is the lowered factor alone, with no slicing.
     """

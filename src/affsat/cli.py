@@ -73,13 +73,28 @@ EXIT_RESOURCE = 3
 # where int() would also take "_", "+", surrounding spaces and other scripts'
 # digits.
 _INTEGER = re.compile(r"-?[0-9]+")
+# The most digits an input integer may have: safely under the interpreter's
+# 4,300-digit limit on converting between int and str, so that an answer
+# can print the numbers it derives from its inputs.
+MAX_INPUT_DIGITS = 4000
+
+
+def _integer(text: str) -> int:
+    """An integer token; DomainError past MAX_INPUT_DIGITS digits."""
+    digits = len(text) - text.startswith("-")
+    if digits > MAX_INPUT_DIGITS:
+        raise DomainError(f"an integer has at most {MAX_INPUT_DIGITS} digits, got one of {digits}")
+    return int(text)
 
 
 def _int_arg(text: str) -> int:
     """argparse type for the integer options."""
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return _integer(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _node_cap_arg(text: str) -> int:
@@ -93,7 +108,7 @@ def _parse_vector(text: str, n: int, name: str) -> tuple[int, ...]:
     entries = text.split(",")
     if not all(map(_INTEGER.fullmatch, entries)):
         raise DomainError(f"malformed {name} vector {text!r}: expected comma-separated integers")
-    vec = tuple(map(int, entries))
+    vec = tuple(map(_integer, entries))
     if len(vec) != n:
         raise DomainError(f"{name} vector must have length n={n}, got {len(vec)}")
     return vec
@@ -101,7 +116,7 @@ def _parse_vector(text: str, n: int, name: str) -> tuple[int, ...]:
 
 def _weight_from_json_arg(text: str) -> Weight:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_integer)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed weight JSON {text!r}: {exc}") from exc
     except RecursionError:

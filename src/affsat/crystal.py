@@ -20,19 +20,12 @@ purposes.  The signature rule runs only where a word is lowered or raised;
 a finished graph reads eps_i off its i-edges (CrystalGraph.eps).
 
 Generation works on words of factor ids: each build owns one
-kernels.FactorTable, which interns every (charge, parts) factor once, stores
-its signature scan (the one memo fill) and memoizes its lowerings, and
-kernels.expand_level lowers and dedups a whole BFS level.  It runs only the
-lowering side of the signature rule, the cancellation of kernels.fold
-inline over each word's factor ids, and lowers through the memo; with no
-tables list and no fold call per (node, residue), generation of the
-benchmark's 77 seed-1 graph_cold graphs got about a quarter faster.  A
-finished graph keeps only the table's factors list; the scans, the memo and
-the intern dict go when the build returns.  Outside the BFS,
-tensor_eps_phi and apply_tensor_operator are FactorTable.scan and
-FactorTable.act on a fresh table, which run fold and word_scan (raising
-folds the mirrored word).  A graph keeps its f-edges as flat slots, n per
-node (slots[node * n + i] is the f_i-child or -1); CrystalGraph.edges, the
+kernels.FactorTable, and kernels.expand_level lowers and dedups a whole
+BFS level (the kernel module's docstring states that design and what a
+finished graph keeps).  Outside the BFS, tensor_eps_phi and
+apply_tensor_operator are FactorTable.scan and FactorTable.act on a fresh
+table.  A graph keeps its f-edges as flat slots, n per node
+(slots[node * n + i] is the f_i-child or -1); CrystalGraph.edges, the
 read-only {(from, i): to} mapping of them, is built on first read, which no
 CLI command makes.  Nodes lowered under f_i from one cvec share one child
 cvec tuple.  The kernel module is imported directly; affsat._backend names

@@ -32,7 +32,11 @@ class ResourceCapError(AffsatError, RuntimeError):
         self.cap = cap
         self.budget = tuple(budget)
         self.count = count
-        super().__init__(self.message.format(cap=cap, budget=self.budget, count=count))
+        try:
+            shown = str(count)
+        except ValueError:  # past the interpreter's limit on int-to-str conversion
+            shown = f"at least 2^{count.bit_length() - 1}"
+        super().__init__(self.message.format(cap=cap, budget=self.budget, count=shown))
 
 
 class RecursionCapError(ResourceCapError):

@@ -124,9 +124,8 @@ def enumerate_leaves(lam: Weight, mu: Weight, include_empty: bool = False) -> li
     count = _strata_count(kept)
     if count > DEFAULT_NODE_CAP:
         raise StrataCapError(DEFAULT_NODE_CAP, v, count)
-    partitions = _partitions(max(map(min, kept), default=0))
     # per m = min(c): the partitions of at most m cells, in lexicographic order
-    within = {m: [k for k in partitions if sum(k) <= m] for m in set(map(min, kept))}
+    within = {m: _partitions(m) for m in set(map(min, kept))}
     level_one = lam.level == 1
     return [Stratum(kappa, k, level_one and c != v)
             for c, kappa in zip(kept, map(lam.lowered, kept)) for k in within[min(c)]]

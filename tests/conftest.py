@@ -94,6 +94,72 @@ def graph_branching(lam, mu, i):
     return dict(sorted(highest.items()))
 
 
+@functools.cache
+def _charged_partitions(n, charge, cells):
+    """(parts, residue content) of every partition of exactly `cells` cells,
+    a cell (row, col) having residue (col - row + charge) mod n."""
+    out = []
+    for parts in all_partitions(cells):
+        if sum(parts) == cells:
+            content = [0] * n
+            for row, row_len in enumerate(parts, start=1):
+                for col in range(1, row_len + 1):
+                    content[(col - row + charge) % n] += 1
+            out.append((parts, content))
+    return out
+
+
+def flotw_count(n, charges, u):
+    """mult(lambda - u.alpha) for lambda = sum_j Lambda_{charges_j}, as the
+    number of FLOTW multipartitions of residue content u (Foda, Leclerc,
+    Okado, Thibon and Welsh, Adv. Math. 141, 1999), which label B(lambda).
+
+    With charges sorted, 0 <= s_1 <= ... <= s_l < n, an l-multipartition
+    (p_1, ..., p_l) is FLOTW when
+    - p_j[i] >= p_{j+1}[i + s_{j+1} - s_j] for j < l, and
+      p_l[i] >= p_1[i + n + s_1 - s_l], for every row i (missing rows are 0);
+    - for every k > 0, the residues of the last cells of the rows of length k
+      do not cover all of Z/n.
+    """
+    return _flotw_contents(n, tuple(sorted(charges)), sum(u))[tuple(u)]
+
+
+@functools.cache
+def _flotw_contents(n, s, cells):
+    """Residue content -> number of FLOTW multipartitions of `cells` cells
+    with sorted charges s."""
+
+    def above(upper, lower, shift):
+        return all(i < len(upper) and upper[i] >= part
+                   for i, part in enumerate(lower[shift:]))
+
+    def covers_no_length(word):
+        ends = {}
+        for parts, charge in zip(word, s):
+            for r, k in enumerate(parts, start=1):
+                ends.setdefault(k, set()).add((k - r + charge) % n)
+        return all(len(residues) < n for residues in ends.values())
+
+    found = Counter()
+
+    def extend(word, content, rest):
+        j = len(word)
+        last = j == len(s) - 1
+        for m in [rest] if last else range(rest + 1):
+            for parts, own in _charged_partitions(n, s[j], m):
+                if j and not above(word[-1], parts, s[j] - s[j - 1]):
+                    continue
+                whole = word + (parts,)
+                total = [a + b for a, b in zip(content, own)]
+                if not last:
+                    extend(whole, total, rest - m)
+                elif above(parts, whole[0], n + s[0] - s[-1]) and covers_no_length(whole):
+                    found[tuple(total)] += 1
+
+    extend((), [0] * n, cells)
+    return found
+
+
 def full_root_freudenthal(lam):
     """u -> mult(lam - u.alpha) by the Freudenthal sum over every positive root
     of degree <= u_0, one term per root and each target reduced to the

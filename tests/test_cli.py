@@ -23,6 +23,9 @@ SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 
+NINES_5000 = "9" * 5000
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -318,6 +321,18 @@ def test_validation_errors(capsys, tmp_path):
         (("mult", "-n", "2", "-w", "1,0", "-v=-1,0"), "v entries must be nonnegative"),
         (("branch", "-n", "2", "-w", "1,0", "-v", "2,2", "-i", "1", "--format", "dot"),
          "invalid choice"),
+        # an integer past the digit bound, which int() and str() convert no further
+        # than 4,300 digits, is refused wherever it is read
+        (("mult", "-n", "2", "-w", "1,0", "-v", f"{NINES_5000},1"), "at most 4000 digits"),
+        (("mult", "--lam", f'{{"n":2,"w":[1,0],"c":[{NINES_5000},0]}}', "-v", "1,1"),
+         "at most 4000 digits"),
+        (("crystal", "-n", "2", "-w", "1,0", "--budget", f"{NINES_5000},1"),
+         "at most 4000 digits"),
+        (("leaves", "-n", "2", "-w", "1,0", "-v", f"1,{NINES_5000}"), "at most 4000 digits"),
+        (("crystal", "--lam", '{"n":2,"w":[1,0],"c":[%s,%s]}' % (("9" * 4300,) * 2),
+          "--depth", "1"), "at most 4000 digits"),
+        (("crystal", "-n", "2", "-w", "1,0", "--depth", NINES_5000),
+         "argument --depth: an integer has at most 4000 digits"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -326,11 +341,26 @@ def test_validation_errors(capsys, tmp_path):
     for argv in [
         ("leaves", "-n", "2", "-w", "1,0", "-v", "9223372036854775807,0"),
         ("tensor", "-n", "2", "--w1", "1,0", "--w2", "0,1", "--budget", "0,99999999999999999999"),
+        # a box whose point count has too many digits to print
+        ("leaves", "-n", "2", "-w", "1,0", "-v", ",".join(["9" * cli.MAX_INPUT_DIGITS] * 2)),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert len(err.splitlines()) == 1 and err.startswith("affsat: "), argv
     assert not any(tmp_path.iterdir())
+
+
+def test_inputs_at_the_digit_bound_are_answered(capsys):
+    """A c entry of MAX_INPUT_DIGITS digits is read, and the answers print
+    the numbers one digit longer that they derive from it."""
+    top = "9" * cli.MAX_INPUT_DIGITS
+    lam = '{"n":2,"w":[1,0],"c":[%s,%s]}' % (top, top)
+    for argv in [("crystal", "--lam", lam, "--depth", "1"),
+                 ("leaves", "--lam", lam, "-v", "1,1"),
+                 ("branch", "--lam", lam, "-v", "1,1", "-i", "0")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert "1" + "0" * cli.MAX_INPUT_DIGITS in out, argv
 
 
 def test_help_exits_zero(capsys):
@@ -1049,7 +1079,7 @@ def _argv(n: int, cache_dir: str):
         "check": [lam, opt("--depth"), opt("--node-cap")],
     }
     junk = st.sampled_from(["", "x", "-", "--", "--bogus", "-1", "1,2,3,4", "{", "-h", "--help",
-                            str(5 - n), '{"n":2}'])
+                            str(5 - n), '{"n":2}', NINES_5000])
     stray = st.sampled_from(sorted(values)).flatmap(opt) | junk.map(lambda t: [t])
 
     def mutate(parts, how):

@@ -30,13 +30,14 @@ from affsat import (
     weight_multiplicity,
 )
 from affsat import _kernels_py as kernels
-from affsat import cli, crystal
+from affsat import cli, crystal, freudenthal
 from affsat.cli import dot_from_graph_json
 from affsat.crystal import canonical_charges, tensor_splittings
 
 from conftest import (
     all_partitions,
     dominant_bases,
+    flotw_count,
     graph_branching,
     graph_multiplicity,
     graph_splittings,
@@ -395,6 +396,19 @@ def test_weight_multiplicity_on_a_box_with_non_weights(n, top):
             assert m == freudenthal_multiplicity(lam, mu) == counts.get(u, 0), (lam, u)
             zeros += min(u) >= 0 and m == 0
         assert zeros > 0, lam
+
+
+@pytest.mark.parametrize("n, top", [(2, 6), (3, 4), (4, 2)])
+def test_three_routes_agree_on_every_box_to_level_3(n, top):
+    # crystal node counts, Freudenthal and the FLOTW multipartitions, at every
+    # point of the box, the non-dominant weights and the non-weights included
+    box = (top,) * n
+    for lam in dominant_bases(n, 3):
+        counts = generate_crystal(lam, box).weight_counts()
+        charges = canonical_charges(lam)
+        table = freudenthal.box_multiplicities(lam, box)
+        for u, m in zip(itertools.product(*(range(top + 1) for _ in box)), table, strict=True):
+            assert counts.get(u, 0) == m == flotw_count(n, charges, u), (lam, u)
 
 
 def test_levi_branching_examples():
