@@ -8,7 +8,9 @@ first byte (out of memory while writing blocks exits 3 after a truncated
 document).  A reader that closes stdout early ends a command quietly, with
 its exit code and an empty stderr.  Exit codes: 0 success,
 2 validation error, 3 node-cap exceeded (crystal, capped by building, and
-check, refused from its Freudenthal table before its graph is built; mult,
+check, refused from its Freudenthal table before its graph is built; both
+refuse a level over the default cap before the highest-weight word of one
+factor per unit of level is built, whatever --node-cap is; mult,
 fixed, branch and tensor answer by Freudenthal and the Weyl group, whose
 recursion refuses to store more weights than the default cap, and whose box
 walks, check's included, refuse to visit more points than it; leaves
@@ -32,11 +34,15 @@ newline and the document, in UTF-8; a miss writes the document in blocks
 and the fixed-width digest line last, and a warm hit reads the entry once,
 as bytes, and serves it byte-identical once the digest matches, before its
 first byte.  --format dot is rendered once from the JSON entry and
-served from its own digest-checked entry.  --node-cap bounds building only:
-a hit builds nothing, so it is served whatever the cap, and an argv whose
-cold run exits 3 exits 0 once its entry is cached.  Version-1 entries are
-never read and can be deleted.  Nothing is ever evicted: the cache grows
-until its {key}.json and {key}.dot files are deleted, which is always safe.
+served from its own digest-checked entry.  DOT is read from the JSON text,
+the entry's or the uncached blocks', in slices of whole records, the edge
+pattern over the edges section and the node pattern over the nodes
+section, so rendering holds the rendered lines, not copies of the text.
+--node-cap bounds building only: a hit builds nothing, so it is served
+whatever the cap, and an argv whose cold run exits 3 exits 0 once its
+entry is cached.  Version-1 entries are never read and can be deleted.
+Nothing is ever evicted: the cache grows until its {key}.json and {key}.dot
+files are deleted, which is always safe.
 
 Only what a command runs is imported: crystal generation, satake,
 freudenthal, hashlib and the cache's file handling load inside the
@@ -310,6 +316,9 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
 # A node's id and c, and an edge, in the layout CrystalGraph.json_blocks writes.
 _DOC_NODE = re.compile(r'\{"id":(\d+),"weight":\{"c":\[([-\d,]+)\]')
 _DOC_EDGE = re.compile(r'\{"from":(\d+),"i":(\d+),"to":(\d+)\}')
+# Characters of a document read at a time when rendering DOT; a slice runs on
+# to just before the next record, so no record is cut.
+_DOT_SLICE_CHARS = 1 << 16
 
 
 def dot_from_graph_json(doc: str | Iterable[str]) -> str:
@@ -317,19 +326,41 @@ def dot_from_graph_json(doc: str | Iterable[str]) -> str:
     labelled by weight, edges labelled by residue and colored by residue class.
 
     doc is the document, or blocks of whole records whose concatenation is
-    the document (CrystalGraph.json_blocks); each block is read and let go
-    in turn, and keeps only its rendered lines.
+    the document (CrystalGraph.json_blocks).  The text before "nodes":[ is
+    the edges section and the rest the nodes section, so blocks before the
+    one holding it are edges and that block carries both halves.  Each
+    section is read in slices of whole records, about _DOT_SLICE_CHARS
+    characters each, the edge pattern over edge slices only and the node
+    pattern over node slices only, and a slice keeps only its rendered lines.
     """
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
     nodes, edges = [], []
+    in_edges = True
     for block in (doc,) if isinstance(doc, str) else doc:
-        nodes.append("".join([f'  n{k} [label="c=[{c.replace(",", ", ")}]"];\n'
-                              for k, c in _DOC_NODE.findall(block)]))
-        edges.append("".join([f'  n{a} -> n{b} [label="{i}", '
-                              f'color="{palette[int(i) % len(palette)]}"];\n'
-                              for a, i, b in _DOC_EDGE.findall(block)]))
+        cut = block.find('"nodes":[') if in_edges else 0
+        in_edges = cut < 0
+        if in_edges:
+            cut = len(block)
+        for start, stop in _record_slices(block, 0, cut, ',{"from":'):
+            edges.append("".join([f'  n{a} -> n{b} [label="{i}", '
+                                  f'color="{palette[int(i) % len(palette)]}"];\n'
+                                  for a, i, b in _DOC_EDGE.findall(block, start, stop)]))
+        for start, stop in _record_slices(block, cut, len(block), ',{"id":'):
+            nodes.append("".join([f'  n{k} [label="c=[{c.replace(",", ", ")}]"];\n'
+                                  for k, c in _DOC_NODE.findall(block, start, stop)]))
     return "".join(["digraph crystal {\n  rankdir=TB;\n", *nodes, *edges, "}\n"])
+
+
+def _record_slices(text: str, start: int, stop: int, record: str) -> Iterator[tuple[int, int]]:
+    """Spans tiling text[start:stop], each of at least _DOT_SLICE_CHARS
+    characters and ending just before the next occurrence of record (a
+    record's start), or at stop."""
+    while start < stop:
+        end = text.find(record, start + _DOT_SLICE_CHARS, stop)
+        end = stop if end < 0 else end
+        yield start, end
+        start = end
 
 
 # -- commands ----------------------------------------------------------------

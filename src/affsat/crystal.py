@@ -82,7 +82,7 @@ from .cartan import (
     validate_budget,
     weyl_orbit_lowerings,
 )
-from .errors import ConsistencyError
+from .errors import ConsistencyError, LevelCapError
 from .fock import ChargedPartition
 
 # Nodes per block of the canonical document (CrystalGraph.json_blocks): each
@@ -304,8 +304,14 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
     """Breadth-first closure of the highest-weight word under all f_i within budget.
 
     The node set and edge map depend only on (lambda, budget).  Exceeding
-    node_cap raises ResourceCapError naming the cap.
+    node_cap raises ResourceCapError naming the cap.  A level above
+    DEFAULT_NODE_CAP, whatever node_cap is, raises LevelCapError once lambda
+    is checked and before the highest-weight word, one factor per unit of
+    level, is built.
     """
+    level = sum(highest_pairings(lam))
+    if level > DEFAULT_NODE_CAP:
+        raise LevelCapError(DEFAULT_NODE_CAP, budget, level)
     charges = canonical_charges(lam)
     n = lam.n
     budget = validate_budget(n, budget)

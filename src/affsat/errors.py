@@ -61,6 +61,14 @@ class GraphCapError(ResourceCapError):
     message = "the graph of budget {budget} has {count} nodes, over the node cap of {cap}"
 
 
+class LevelCapError(ResourceCapError):
+    """A highest-weight word, one factor per unit of level, would be longer
+    than the default node cap; count is the level."""
+
+    message = ("the highest-weight word of level {count} would have more factors "
+               "than the node cap of {cap}")
+
+
 class StrataCapError(ResourceCapError):
     """Listing the symplectic-leaf strata below a box would give more labels
     than the node cap; budget is the box."""

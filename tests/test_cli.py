@@ -206,7 +206,7 @@ def test_fixed_tensor_variant(capsys):
     assert len(doc["splittings"]) == 3
 
 
-def test_validation_errors(capsys, tmp_path):
+def test_validation_errors(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, "mult", "-n", "2", "-w", "1,x", "-v", "0,0")[0] == 2
     assert run_cli(capsys, "mult", "-n", "3", "-w", "1,0", "-v", "0,0,0")[0] == 2
     assert run_cli(capsys, "mult", "-n", "1", "-w", "1", "-v", "0")[0] == 2
@@ -333,20 +333,34 @@ def test_validation_errors(capsys, tmp_path):
           "--depth", "1"), "at most 4000 digits"),
         (("crystal", "-n", "2", "-w", "1,0", "--depth", NINES_5000),
          "argument --depth: an integer has at most 4000 digits"),
+        # lambda is checked before its level is held to the cap
+        (("crystal", "--lam", '{"n":2,"w":[-1,6000000],"c":[0,0]}', "--depth", "1"),
+         "highest weight must be dominant"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1 and message in err, argv
     # A box too large to enumerate is out of resources: exit 3, one line.
+    from affsat import crystal
+
+    charges = []
+    monkeypatch.setattr(crystal, "canonical_charges",
+                        lambda lam, real=crystal.canonical_charges: charges.append(lam) or real(lam))
     for argv in [
         ("leaves", "-n", "2", "-w", "1,0", "-v", "9223372036854775807,0"),
         ("tensor", "-n", "2", "--w1", "1,0", "--w2", "0,1", "--budget", "0,99999999999999999999"),
         # a box whose point count has too many digits to print
         ("leaves", "-n", "2", "-w", "1,0", "-v", ",".join(["9" * cli.MAX_INPUT_DIGITS] * 2)),
+        # a highest-weight word longer than the default node cap, one factor
+        # per unit of level, is refused before it is built
+        *[(command, "-n", "2", "-w", f"{top},0", "--depth", "1")
+          for command in ("crystal", "check")
+          for top in ("100000000000", "9" * cli.MAX_INPUT_DIGITS)],
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert len(err.splitlines()) == 1 and err.startswith("affsat: "), argv
+    assert charges == []
     assert not any(tmp_path.iterdir())
 
 
@@ -449,6 +463,14 @@ def test_resource_cap_exit(capsys):
                    "--node-cap", "5") == (3, "", (
         "affsat: crystal generation exceeded the node cap of 5 nodes "
         "(budget (3, 3) produced at least 6); raise node_cap or shrink the budget\n"))
+    # a level over the default cap is refused before its word is built
+    assert run_cli(capsys, "crystal", "-n", "2", "-w", "100000000000,0", "--depth", "1") == (
+        3, "", "affsat: the highest-weight word of level 100000000000 would have more factors "
+               "than the node cap of 5000000\n")
+    # that bound is the default cap, not --node-cap: a word of 11 factors is one node
+    code, out, err = run_cli(capsys, "crystal", "-n", "2", "-w", "11,0", "--depth", "0",
+                             "--node-cap", "10")
+    assert (code, err) == (0, "") and len(json.loads(out)["nodes"]) == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot"])

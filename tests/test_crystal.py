@@ -160,6 +160,15 @@ def test_node_cap():
     assert "(4, 4)" in str(exc.value)
 
 
+def test_level_over_the_default_cap_is_refused(monkeypatch):
+    # The bound is the default cap, whatever node_cap is: a word of as many
+    # factors as the cap is built, one factor more is refused.
+    monkeypatch.setattr(crystal, "DEFAULT_NODE_CAP", 3)
+    assert len(generate_crystal(Weight(2, (3, 0), (0, 0)), (0, 0), node_cap=1)) == 1
+    with pytest.raises(ResourceCapError, match="level 4 .* node cap of 3"):
+        generate_crystal(Weight(2, (3, 1), (0, 0)), (0, 0), node_cap=10)
+
+
 def test_closure_within_budget():
     lam = Weight(2, (1, 1), (0, 0))
     budget = (3, 2)
@@ -791,10 +800,61 @@ def _reference_dot(obj):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_dot_matches_dict_walk(n):
-    for g in _emitter_graphs(n):
-        doc = g.to_json_str()
-        assert dot_from_graph_json(doc) == _reference_dot(json.loads(doc)), (g.lam, g.budget)
+def test_dot_matches_dict_walk(n, monkeypatch):
+    # At a slice of one character every slice is one record: the text and
+    # the blocks are cut before every record of both sections.
+    for slice_chars in (cli._DOT_SLICE_CHARS, 1):
+        monkeypatch.setattr(cli, "_DOT_SLICE_CHARS", slice_chars)
+        for g in _emitter_graphs(n):
+            doc = g.to_json_str()
+            want = _reference_dot(json.loads(doc))
+            assert dot_from_graph_json(doc) == want, (slice_chars, g.lam, g.budget)
+            assert dot_from_graph_json(g.json_blocks()) == want, (slice_chars, g.lam, g.budget)
+
+
+def _reference_graph():
+    """The 20,471-node reference graph: n = 3, Lambda_0 + Lambda_1, depth 8."""
+    return generate_crystal(Weight(3, (1, 1, 0), (0, 0, 0)), (8, 8, 8))
+
+
+def test_dot_reads_each_section_with_its_own_pattern(monkeypatch):
+    # The edge pattern reads only the edges section and the node pattern
+    # only the nodes section, in slices of whole records, from the text and
+    # from the blocks alike.
+    class Recording:
+        def __init__(self, pattern):
+            self.pattern, self.read = pattern, []
+
+        def findall(self, text, pos=0, endpos=None):
+            self.read.append(text[pos:endpos])
+            return self.pattern.findall(text, pos, len(text) if endpos is None else endpos)
+
+    g = _reference_graph()
+    want = _reference_dot(json.loads(g.to_json_str()))
+    for doc in (g.to_json_str(), g.json_blocks()):
+        edge, node = Recording(cli._DOC_EDGE), Recording(cli._DOC_NODE)
+        monkeypatch.setattr(cli, "_DOC_EDGE", edge)
+        monkeypatch.setattr(cli, "_DOC_NODE", node)
+        assert dot_from_graph_json(doc) == want
+        assert edge.read and not any('"id":' in text for text in edge.read)
+        assert node.read and not any('"from":' in text for text in node.read)
+        # a slice runs on past its size only to the end of one record
+        assert max(map(len, edge.read + node.read)) < cli._DOT_SLICE_CHARS + 1000
+
+
+def test_dot_renders_in_less_than_three_times_its_length():
+    # The rendered lines of each slice, then the joined DOT, are what is
+    # held; the text read whole by both patterns took 4.5 times the DOT.
+    import tracemalloc
+
+    doc = _reference_graph().to_json_str()
+    tracemalloc.start()
+    try:
+        dot = dot_from_graph_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(dot), (peak, len(dot))
 
 
 @pytest.mark.parametrize("size", [1, 3])
