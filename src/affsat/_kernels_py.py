@@ -28,8 +28,10 @@ expand_level runs only the lowering half of word_scan, inline over each
 word's factor ids, and lowers through the memo, because there the scan
 runs once per (node, residue): a tables list per node and a call per
 residue took about 0.4 s of the 1.8 s that generating the benchmark's 77
-seed-1 graph_cold graphs took (2 cores, Python 3.11.7).  A finished crystal
-graph keeps only its table's factors list, not the scans, memo or ids.
+seed-1 graph_cold graphs took (2 cores, Python 3.11.7).  Every f-edge adds
+1 to sum(c), so a child can only equal a node of the next level: a level is
+an id range deduped against itself, and no index of the whole graph is
+kept.  A finished graph keeps only its table's factors, not scans or memo.
 """
 
 from .errors import DomainError, ResourceCapError
@@ -143,18 +145,19 @@ class FactorTable:
         return word[:pos] + ((charge, parts),) + word[pos + 1 :]
 
 
-def expand_level(frontier, words, cvecs, index, slots, budget, table, node_cap):
-    """Lower one BFS level in place and return the next frontier.
+def expand_level(level, words, cvecs, slots, budget, table, node_cap):
+    """Lower one BFS level, a range of node ids, in place; return the next.
 
-    words are tuples of factor ids in table, index maps each word to its
-    node id, and slots holds n edge slots per node: slots[parent * n + i] is
-    the child's node id, -1 while there is no f_i-edge.  Each frontier node
-    is lowered under every in-budget f_i, residues ascending; a child not
-    yet in index is appended with n empty slots and its cvec, which is what
-    keeps generation deterministic.  Nodes of one cvec all lie in one level,
-    so the children made under f_i from one parent cvec share one cvec tuple.
-    Reaching node_cap nodes raises ResourceCapError before the node is
-    stored.
+    words are tuples of factor ids in table, and slots holds n edge slots
+    per node: slots[parent * n + i] is the child's node id, -1 while there
+    is no f_i-edge.  Each node of the level is lowered under every in-budget
+    f_i, residues ascending; a child not yet seen is appended with n empty
+    slots and its cvec, so the next level is range(level.stop, len(words)).
+    A child can only equal another child of this level (the module
+    docstring), so the dedup dict lives for this call.  Nodes of one cvec
+    all lie in one level, so the children made under f_i from one parent
+    cvec share one cvec tuple.  Reaching node_cap nodes raises
+    ResourceCapError before the node is stored.
 
     Each (node, residue) runs the lowering half of word_scan inline over the
     word's factor ids: factor 0's removables meet no addable before them, so
@@ -163,14 +166,14 @@ def expand_level(frontier, words, cvecs, index, slots, budget, table, node_cap):
     child is the lowered factor alone, with no slicing.
     """
     scans, lowered, factors, n = table.scans, table.lowered, table.factors, table.n
-    intern, find = table.intern, index.get
+    seen = {}
+    intern, find = table.intern, seen.get
     empty = [-1] * n
     residues = range(n)
     rest = range(1, len(words[0]))
     child_cvecs = {}
-    next_frontier = []
-    add_word, add_cvec, add_next = words.append, cvecs.append, next_frontier.append
-    for node_id in frontier:
+    add_word, add_cvec = words.append, cvecs.append
+    for node_id in level:
         word, c = words[node_id], cvecs[node_id]
         base = node_id * n
         for i in residues:
@@ -200,16 +203,15 @@ def expand_level(frontier, words, cvecs, index, slots, budget, table, node_cap):
                 child_id = len(words)
                 if child_id >= node_cap:
                     raise ResourceCapError(node_cap, budget, child_id + 1)
-                index[child] = child_id
+                seen[child] = child_id
                 add_word(child)
                 cc = child_cvecs.get((c, i))
                 if cc is None:
                     cc = child_cvecs[(c, i)] = c[:i] + (c[i] + 1,) + c[i + 1 :]
                 add_cvec(cc)
                 slots.extend(empty)
-                add_next(child_id)
             slots[base + i] = child_id
-    return next_frontier
+    return range(level.stop, len(words))
 
 
 def residue_counts(parts, charge, n):

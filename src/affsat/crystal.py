@@ -20,11 +20,11 @@ purposes.  The signature rule runs only where a word is lowered or raised;
 a finished graph reads eps_i off its i-edges (CrystalGraph.eps).
 
 Generation works on words of factor ids: each build owns one
-kernels.FactorTable, and kernels.expand_level lowers and dedups a whole
-BFS level (the kernel module's docstring states that design and what a
-finished graph keeps).  Outside the BFS, tensor_eps_phi and
-apply_tensor_operator are FactorTable.scan and FactorTable.act on a fresh
-table.  A graph keeps its f-edges as flat slots, n per node
+kernels.FactorTable, and kernels.expand_level lowers a BFS level, an id
+range deduped against itself (the kernel module's docstring states that
+design and what a finished graph keeps).  Outside the BFS, tensor_eps_phi
+and apply_tensor_operator are FactorTable.scan and FactorTable.act on a
+fresh table.  A graph keeps its f-edges as flat slots, n per node
 (slots[node * n + i] is the f_i-child or -1); CrystalGraph.edges, the
 read-only {(from, i): to} mapping of them, is built on first read, which no
 CLI command makes.  Nodes lowered under f_i from one cvec share one child
@@ -35,10 +35,11 @@ could free, and the caller's setting restored after.  (charge, parts) words
 are materialized only at the API edge (CrystalGraph.words, node()).
 The canonical document comes from one serializer, CrystalGraph.json_blocks:
 blocks of whole records, one % format per JSON_BLOCK_NODES nodes or their
-edges, for a writer to consume as they come.  The text of each distinct
-weight is built once, before the node blocks, and a node block's arguments
-are slice-assigned from one comprehension per record field and word
-position, with no per-node loop.  to_json_str joins the blocks and
+edges, for a writer to consume as they come, after one stable sort of the
+nodes per word position.  The text of each distinct weight is built once,
+before the node blocks, and a node block's arguments are slice-assigned
+from one comprehension per record field and word position, with no
+per-node loop.  to_json_str joins the blocks and
 canonical_digest hashes them, one block at a time.
 
 The multiplicity queries build no graph: weight multiplicities and tensor
@@ -222,21 +223,19 @@ class CrystalGraph:
         at a time.
         """
         # The charge at each word position is the same in every word, so
-        # words order as the tuples of their factors' ranks, and so as those
-        # ranks read as the digits of one int in base len(factors).
+        # words order as the tuples of their factors' ranks: one stable sort
+        # per word position, last first, keyed by that position's ranks.
         coded = self.id_words
         factors = self.factors
         rank = [0] * len(factors)
         for r, k in enumerate(sorted(range(len(factors)), key=factors.__getitem__)):
             rank[k] = r
-        base = len(factors)
-        keys = [0] * len(coded)
-        for k in range(len(coded[0])):
-            keys = [key * base + rank[word[k]] for key, word in zip(keys, coded)]
         # order and relabel share one int object per node id, not one each
         ids = list(range(len(coded)))
-        order = sorted(ids, key=keys.__getitem__)
-        del keys
+        order = ids
+        for k in reversed(range(len(coded[0]))):
+            column = [rank[word[k]] for word in coded]
+            order = sorted(order, key=column.__getitem__)
         relabel = ids.copy()
         for new, old in zip(ids, order):
             relabel[old] = new
@@ -320,7 +319,6 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
     hw: IdWord = tuple(table.intern((ch, ())) for ch in charges)
     words: list[IdWord] = [hw]
     cvecs: list[tuple[int, ...]] = [(0,) * n]
-    index: dict[IdWord, int] = {hw: 0}
     slots = [-1] * n
 
     # Nothing the BFS allocates can form a cycle (tuples and lists of ints,
@@ -328,10 +326,9 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
     enabled = gc.isenabled()
     gc.disable()
     try:
-        frontier = [0]
-        while frontier:
-            frontier = kernels.expand_level(frontier, words, cvecs, index, slots, budget, table,
-                                            node_cap)
+        level = range(1)
+        while level:
+            level = kernels.expand_level(level, words, cvecs, slots, budget, table, node_cap)
     finally:
         if enabled:
             gc.enable()

@@ -306,6 +306,83 @@ def test_eps_is_the_raising_string_length(n, w, budget):
     assert len(g) > 100
 
 
+# Graphs of levels 1 to 3 at every n, each with a budget that keeps it under
+# about 1,600 nodes; the edge checks below read only slots, cvecs and eps,
+# never the signature rule that made the edges
+EDGE_GRAPHS = [
+    (2, (1, 0), (6, 6)), (2, (1, 1), (4, 4)), (2, (2, 1), (6, 6)),
+    (3, (1, 0, 0), (3, 3, 3)), (3, (1, 1, 0), (5, 5, 5)), (3, (1, 1, 1), (4, 4, 4)),
+    (4, (1, 0, 0, 0), (2, 2, 2, 2)), (4, (1, 0, 1, 0), (2, 2, 2, 2)),
+    (4, (2, 0, 1, 0), (3, 3, 3, 3)), (5, (1, 0, 0, 0, 0), (2, 2, 2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("n, w, budget", EDGE_GRAPHS)
+def test_edges_fill_the_sl2_strings(n, w, budget):
+    # an i-string of weights mu, mu - alpha_i, ... is symmetric about
+    # pairing 0, so the i-edges from the nodes at c to those at c + e_i
+    # number min(#c, #(c + e_i)) whenever c + e_i is inside the budget
+    g = generate_crystal(Weight(n, w, (0,) * n), budget)
+    count = Counter(g.cvecs)
+    edges = Counter((g.cvecs[k // n], k % n) for k, b in enumerate(g.slots) if b >= 0)
+    checked = 0
+    for c, m in count.items():
+        for i in range(n):
+            if c[i] < budget[i]:
+                above = count[c[:i] + (c[i] + 1,) + c[i + 1 :]]
+                assert edges[(c, i)] == min(m, above), (c, i)
+                checked += above > 0
+    assert checked > 10
+
+
+@pytest.mark.parametrize("n, w, budget", [case for case in EDGE_GRAPHS if case[0] >= 3])
+def test_edges_satisfy_stembridge_raising_axioms(n, w, budget):
+    # Stembridge, "A local characterization of simply-laced crystals"
+    # (Trans. AMS 355, 2003), raising half, for i != j at every node x with
+    # y = e_i x: Delta = eps_j(y) - eps_j(x) >= 0 and phi_j(y) <= phi_j(x);
+    # where Delta = 0 and z = e_j x exists, e_j y = e_i z = w with
+    # phi_i(w) = phi_i(y); where Delta = 1 and eps_i(z) - eps_i(x) = 1,
+    # e_i e_j e_j y = e_j e_i e_i z = w with phi_j and phi_i each dropping
+    # by 1 on the last edge into w.  Stembridge's delta is -eps.  Raising
+    # lowers c, so every move stays inside the budget; n = 2 is not
+    # simply-laced.
+    g = generate_crystal(Weight(n, w, (0,) * n), budget)
+    up = [[-1] * len(g) for _ in range(n)]
+    for k, b in enumerate(g.slots):
+        if b >= 0:
+            up[k % n][b] = k // n
+    eps = [g.eps(i) for i in range(n)]
+    pairings = {c: g.lam.lowered(c).pairings() for c in set(g.cvecs)}
+    phi = [[e + pairings[c][j] for e, c in zip(eps[j], g.cvecs)] for j in range(n)]
+
+    def raise_by(x, colours):
+        for i in colours:
+            x = up[i][x] if x >= 0 else -1
+        return x
+
+    seen = Counter()
+    for x in range(len(g)):
+        for i in range(n):
+            y = up[i][x]
+            if y < 0:
+                continue
+            for j in set(range(n)) - {i}:
+                z = up[j][x]
+                delta = eps[j][y] - eps[j][x]
+                assert delta >= 0 and phi[j][y] <= phi[j][x], (x, i, j)
+                if delta == 0 and z >= 0:
+                    w = up[j][y]
+                    assert w >= 0 and w == up[i][z] and phi[i][w] == phi[i][y], (x, i, j)
+                    seen["square"] += 1
+                elif delta == 1 and z >= 0 and eps[i][z] - eps[i][x] == 1 and i < j:
+                    a, b = raise_by(y, (j, j)), raise_by(z, (i, i))
+                    w = raise_by(a, (i,))
+                    assert w >= 0 and w == raise_by(b, (j,)), (x, i, j)
+                    assert phi[j][w] - phi[j][a] == phi[i][w] - phi[i][b] == -1, (x, i, j)
+                    seen["octagon"] += 1
+    assert seen["square"] > 0 and seen["octagon"] > 0
+
+
 def test_generate_crystal_restores_collector_state(monkeypatch):
     # the BFS runs with the cyclic collector paused and leaves it as found,
     # also when the node cap ends the build
@@ -343,11 +420,11 @@ def test_factor_memo_exact(monkeypatch, n, w, budget):
 
     monkeypatch.setattr(kernels, "signature_scan", counted)
     # the graph keeps only the factors, so the build table is caught on its
-    # way into the BFS (expand_level's 7th argument)
+    # way into the BFS, found among expand_level's arguments by its type
     tables = []
     expand_level = kernels.expand_level
-    monkeypatch.setattr(kernels, "expand_level",
-                        lambda *args: tables.append(args[6]) or expand_level(*args))
+    monkeypatch.setattr(kernels, "expand_level", lambda *args: tables.append(
+        next(a for a in args if isinstance(a, kernels.FactorTable))) or expand_level(*args))
     g = generate_crystal(Weight(n, w, (0,) * n), budget)
     table = tables[0]
     assert all(t is table for t in tables)
@@ -779,9 +856,20 @@ def _emitter_graphs(n):
                 yield generate_crystal(shifted, budget)
 
 
+# Graphs of levels 3, 4 and 20,000 per n: words of many positions, ordered
+# by one sort per position
+DEEP_EMITTER_GRAPHS = {
+    2: [((20000, 0), (1, 1)), ((2, 1), (5, 5)), ((3, 1), (5, 5))],
+    3: [((2, 1, 0), (3, 3, 3)), ((2, 1, 1), (2, 2, 2))],
+    4: [((1, 1, 1, 0), (2, 2, 2, 2))],
+}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_to_json_str_matches_dict_tree(n):
-    for g in _emitter_graphs(n):
+    deep = (generate_crystal(Weight(n, w, (0,) * n), budget)
+            for w, budget in DEEP_EMITTER_GRAPHS[n])
+    for g in itertools.chain(_emitter_graphs(n), deep):
         assert g.to_json_str() == _reference_json_str(g), (g.lam, g.budget)
 
 
