@@ -30,14 +30,14 @@ The graph cache keeps {key}.json per key under --cache-dir (default
 $AFFSAT_CACHE_DIR; an empty value means no cache), plus {key}.dot once
 --format dot is asked, keyed by a digest of (schema version, rank, lambda,
 budget, convention id).  An entry is the document's sha256 hex digest, a
-newline and the document, in UTF-8; a miss writes the document in blocks
-and the fixed-width digest line last, and a warm hit reads the entry once,
-as bytes, and serves it byte-identical once the digest matches, before its
-first byte.  --format dot is rendered once from the JSON entry and
-served from its own digest-checked entry.  DOT is read from the JSON text,
-the entry's or the uncached blocks', in slices of whole records, the edge
-pattern over the edges section and the node pattern over the nodes
-section, so rendering holds the rendered lines, not copies of the text.
+newline and the document, in UTF-8; a miss writes the chunks it built, in
+slices, and the fixed-width digest line last, then serves those chunks, and
+a warm hit reads the entry once, as bytes, and serves it byte-identical once
+the digest matches, before its first byte.  --format dot is rendered once
+from the JSON entry and served from its own digest-checked entry.  DOT is
+read from the JSON text, the entry's or the uncached blocks', in slices of
+whole records, the edge pattern over the edges section and the node pattern
+over the nodes section, and is kept as each slice's lines, never joined.
 --node-cap bounds building only: a hit builds nothing, so it is served
 whatever the cap, and an argv whose cold run exits 3 exits 0 once its
 entry is cached.  Version-1 entries are never read and can be deleted.
@@ -184,13 +184,9 @@ def _operands(args) -> tuple[Weight, Weight | None, Weight]:
 # -- cache ------------------------------------------------------------------
 
 
-def _sha256(text: str) -> str:
+def _cache_key(lam: Weight, budget: tuple[int, ...]) -> str:
     import hashlib
 
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _cache_key(lam: Weight, budget: tuple[int, ...]) -> str:
     payload = canonical_dumps({
         "schema_version": SCHEMA_VERSION,
         "n": lam.n,
@@ -198,7 +194,7 @@ def _cache_key(lam: Weight, budget: tuple[int, ...]) -> str:
         "budget": list(budget),
         "convention_id": CONVENTION_ID,
     })
-    return _sha256(payload)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 # An entry's first line, the document's sha256 hex digest and a newline, has
@@ -208,44 +204,39 @@ _DIGEST_LINE = 65
 _WRITE_CHARS = 1 << 20
 
 
-def _cached(path, make) -> str:
-    """The document stored at path when its digest line matches, else make()'s.
+def _cached(path, make) -> str | list[str]:
+    """The document stored at path when its digest line matches, as one
+    string, else the chunks make() returns, stored by _store first.
 
     A hit reads the entry once, as bytes, checks the digest over a view of
     the body and decodes it once, as UTF-8.  A missing entry is a silent
-    miss; a corrupt or unreadable one is rebuilt with a warning.  Either way
-    the document is written, digest line last, to a temp file that replaces
-    the entry atomically (mkstemp + os.replace); a write failure degrades to
-    build-without-store.
+    miss; a corrupt or unreadable one is rebuilt with a warning.
     """
     import hashlib
 
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except (FileNotFoundError, NotADirectoryError):  # no entry, or no cache dir yet
-        pass
-    except OSError:
-        print(f"affsat: cache entry {path.name} is unreadable; rebuilding", file=sys.stderr)
-    else:
         cut = data.find(b"\n")
         body = memoryview(data)[cut + 1 :]
-        try:
-            doc = str(body, "utf-8")
-            if cut >= 0 and hashlib.sha256(body).hexdigest() == data[:cut].decode("utf-8"):
-                return doc
-            print(f"affsat: cache entry {path.name} failed its digest check; rebuilding",
-                  file=sys.stderr)
-        except ValueError:
-            print(f"affsat: cache entry {path.name} is unreadable; rebuilding", file=sys.stderr)
-    doc = make()
-    _store(path, doc)
-    return doc
+        doc = str(body, "utf-8")
+        if cut >= 0 and hashlib.sha256(body).hexdigest() == data[:cut].decode("utf-8"):
+            return doc
+        print(f"affsat: cache entry {path.name} failed its digest check; rebuilding",
+              file=sys.stderr)
+    except (FileNotFoundError, NotADirectoryError):  # no entry, or no cache dir yet
+        pass
+    except (OSError, ValueError):
+        print(f"affsat: cache entry {path.name} is unreadable; rebuilding", file=sys.stderr)
+    chunks = make()
+    _store(path, chunks)
+    return chunks
 
 
-def _store(path, doc: str) -> None:
-    """Write doc to path's entry: the body first, in blocks, through one
-    sha256, then the digest line into the room left for it."""
+def _store(path, chunks: Iterable[str]) -> None:
+    """Write the document the chunks join to, each chunk in _WRITE_CHARS
+    slices through one sha256 and the digest line last, to a temp file that
+    replaces path's entry atomically; a write failure degrades to no store."""
     import hashlib
     import tempfile
     from pathlib import Path
@@ -257,10 +248,11 @@ def _store(path, doc: str) -> None:
         digest = hashlib.sha256()
         with os.fdopen(fd, "wb") as fh:
             fh.seek(_DIGEST_LINE)
-            for start in range(0, len(doc), _WRITE_CHARS):
-                block = doc[start : start + _WRITE_CHARS].encode("utf-8")
-                digest.update(block)
-                fh.write(block)
+            for chunk in chunks:
+                for start in range(0, len(chunk), _WRITE_CHARS):
+                    block = chunk[start : start + _WRITE_CHARS].encode("utf-8")
+                    digest.update(block)
+                    fh.write(block)
             fh.seek(0)
             fh.write(digest.hexdigest().encode() + b"\n")
         os.replace(tmp, path)
@@ -271,18 +263,18 @@ def _store(path, doc: str) -> None:
 
 
 def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
-                       node_cap: int = DEFAULT_NODE_CAP, fmt: str = "json") -> str | Iterator[str]:
+                       node_cap: int = DEFAULT_NODE_CAP, fmt: str = "json") -> str | Iterable[str]:
     """Canonical graph JSON, or its DOT rendering (fmt="dot"), for (lambda,
     budget), served from cache when possible.
 
     Each format has its own entry, {key}.json or {key}.dot, served only when
-    its stored digest matches.  A DOT miss is rendered from the JSON entry,
-    so a full miss builds once and writes both.  An entry is complete when
-    this returns, so a document served through the cache is one string.
-    With no cache the JSON document is returned as the iterator of its
-    blocks (CrystalGraph.json_blocks), for the caller to write as they come,
-    and DOT is rendered from those blocks; the graph is built either way
-    before this returns.
+    its stored digest matches, as one string.  A DOT miss is rendered from
+    the JSON entry, so a full miss builds once and writes both.  A miss
+    returns the chunks its entry, complete by then, was written from: the
+    joined document for JSON, the renderer's chunks for DOT.  With no cache
+    the JSON document is returned as the iterator of its blocks
+    (CrystalGraph.json_blocks), for the caller to write as they come, and DOT
+    is rendered from those blocks; the graph is built either way first.
     """
     from pathlib import Path
 
@@ -303,9 +295,9 @@ def cache_get_or_build(lam: Weight, budget, cache_dir: str | None, *,
         raise DomainError(f"cache dir {cache_dir!r} exists and is not a directory")
     key = _cache_key(lam, budget)
 
-    def build() -> str:
+    def build() -> list[str]:
         # a miss is served once its entry is complete, so it holds the whole text
-        return graph().to_json_str()
+        return [graph().to_json_str()]
 
     if fmt == "dot":
         return _cached(root / f"{key}.dot",
@@ -321,7 +313,7 @@ _DOC_EDGE = re.compile(r'\{"from":(\d+),"i":(\d+),"to":(\d+)\}')
 _DOT_SLICE_CHARS = 1 << 16
 
 
-def dot_from_graph_json(doc: str | Iterable[str]) -> str:
+def dot_from_graph_json(doc: str | Iterable[str]) -> list[str]:
     """DOT rendering of a canonical graph document, read from its text: nodes
     labelled by weight, edges labelled by residue and colored by residue class.
 
@@ -331,7 +323,8 @@ def dot_from_graph_json(doc: str | Iterable[str]) -> str:
     one holding it are edges and that block carries both halves.  Each
     section is read in slices of whole records, about _DOT_SLICE_CHARS
     characters each, the edge pattern over edge slices only and the node
-    pattern over node slices only, and a slice keeps only its rendered lines.
+    pattern over node slices only.  The DOT is returned unjoined: its header,
+    the rendered lines of each node slice, then of each edge slice, its footer.
     """
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f")
@@ -349,7 +342,7 @@ def dot_from_graph_json(doc: str | Iterable[str]) -> str:
         for start, stop in _record_slices(block, cut, len(block), ',{"id":'):
             nodes.append("".join([f'  n{k} [label="c=[{c.replace(",", ", ")}]"];\n'
                                   for k, c in _DOC_NODE.findall(block, start, stop)]))
-    return "".join(["digraph crystal {\n  rankdir=TB;\n", *nodes, *edges, "}\n"])
+    return ["digraph crystal {\n  rankdir=TB;\n", *nodes, *edges, "}\n"]
 
 
 def _record_slices(text: str, start: int, stop: int, record: str) -> Iterator[tuple[int, int]]:
@@ -366,7 +359,7 @@ def _record_slices(text: str, start: int, stop: int, record: str) -> Iterator[tu
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_crystal(args) -> tuple[str | Iterator[str], int]:
+def _cmd_crystal(args) -> tuple[str | Iterable[str], int]:
     lam = _weight(args, "-w", "--lam")
     return cache_get_or_build(lam, _resolve_budget(args, lam),
                               args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None,

@@ -839,6 +839,18 @@ def test_cache_entry_layout(tmp_path, capsys):
         assert entry_path.read_text() == digest + "\n" + doc
 
 
+def test_a_cache_entry_can_be_written_from_any_chunks(tmp_path, monkeypatch):
+    # Empty chunks, chunks shorter and longer than a write slice, and a
+    # character of two UTF-8 bytes make one entry, which is then a hit.
+    monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
+    chunks = ["", "ab", "c" * 20, "", "é"]
+    path = tmp_path / "entry.json"
+    cli._store(path, chunks)
+    body = "".join(chunks).encode()
+    assert path.read_bytes() == hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+    assert cli._cached(path, lambda: pytest.fail("a hit builds nothing")) == "".join(chunks)
+
+
 def test_cache_write_failure_degrades(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
@@ -916,21 +928,25 @@ def test_dot_miss_over_a_json_hit_renders_once(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_dot_entry_is_rendered_again_from_json(tmp_path, capsys, monkeypatch):
-    # A corrupt entry, one that does not decode and one with no newline are
-    # each rendered again from the JSON entry with one warning, and rewritten.
+    # A corrupt entry, one whose body or digest line does not decode and one
+    # with no newline are each rendered again from the JSON entry with one
+    # warning, and rewritten.
     args = (*DOT_ARGV, "--cache-dir", str(tmp_path))
     _, want, _ = run_cli(capsys, *args)
     [dot_path] = tmp_path.glob("*.dot")
     good = dot_path.read_bytes()
     digest, doc = read_entry(dot_path)
     builds, renders = _count_builds_and_renders(monkeypatch)
-    for bad in ((digest + "\n" + doc[:-2] + " \n").encode(), good[:-1] + b"\xff", digest.encode()):
+    for bad, warning in (((digest + "\n" + doc[:-2] + " \n").encode(), "failed its digest check"),
+                         (good[:-1] + b"\xff", "is unreadable"),
+                         (b"\xff" * 64 + good[64:], "is unreadable"),
+                         (digest.encode(), "failed its digest check")):
         dot_path.write_bytes(bad)
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (0, want), bad[:80]
-        assert len(err.splitlines()) == 1 and "rebuilding" in err, bad[:80]
+        assert err == f"affsat: cache entry {dot_path.name} {warning}; rebuilding\n", bad[:80]
         assert dot_path.read_bytes() == good
-    assert (builds, renders) == ([], [1, 1, 1])
+    assert (builds, renders) == ([], [1, 1, 1, 1])
 
 
 def test_dot_entry_that_is_a_directory(tmp_path, capsys, monkeypatch):
