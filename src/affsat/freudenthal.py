@@ -9,8 +9,7 @@ and tier-1 hold it to.  With the invariant form normalized so that
 runs entirely over Python ints.  Positive roots of A_{n-1}^(1) are the finite
 type-A roots shifted by multiples of the null root delta (multiplicity 1)
 together with the imaginary roots k delta (multiplicity n - 1, (alpha, alpha)
-= 0), kept in one table per degree (alpha_0 coefficient), so the roots
-retained grow linearly with the deepest query.
+= 0).
 
 Multiplicities are invariant under the affine Weyl group W (Kac,
 Infinite-Dimensional Lie Algebras, §3.7), and at positive level every
@@ -75,29 +74,23 @@ from .errors import ConsistencyError, DomainError, RecursionCapError
 PositiveRoot = namedtuple("PositiveRoot", "coeffs multiplicity")
 
 
-@cache
-def _roots_of_degree(n: int, k: int) -> tuple[PositiveRoot, ...]:
-    """The positive roots with alpha_0 coefficient k: the finite roots x at
-    k = 0; otherwise k delta, of multiplicity n - 1, then k delta +- x."""
-    if k == 0:
-        return tuple(PositiveRoot((0,) * i + (1,) * (j - i) + (0,) * (n - j), 1)
-                     for i in range(1, n) for j in range(i + 1, n + 1))
-    return (PositiveRoot((k,) * n, n - 1), *(PositiveRoot(tuple(k + s * a for a in x), 1)
-                                             for x, _ in _roots_of_degree(n, 0) for s in (1, -1)))
-
-
 def positive_roots(n: int, degree_bound: int) -> tuple[PositiveRoot, ...]:
     """All positive roots with alpha_0 coefficient at most degree_bound, by
     increasing coefficient, so each bound's answer is a prefix of the next's.
 
     Complete within that window: finite positive roots (coefficient 0), real
     roots (finite root plus k delta, k = 1..bound) and imaginary roots k delta
-    with multiplicity n - 1.  The roots kept grow linearly with the bound.
+    with multiplicity n - 1.
     """
     check_rank(n)
     if degree_bound < 0:
         raise DomainError("degree_bound must be nonnegative")
-    return tuple(chain.from_iterable(_roots_of_degree(n, k) for k in range(degree_bound + 1)))
+    finite = [(0,) * i + (1,) * (j - i) + (0,) * (n - j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    roots = [PositiveRoot(x, 1) for x in finite]
+    for k in range(1, degree_bound + 1):
+        roots.append(PositiveRoot((k,) * n, n - 1))
+        roots += [PositiveRoot(tuple(k + s * a for a in x), 1) for x in finite for s in (1, -1)]
+    return tuple(roots)
 
 
 # One table per module: mult(lam - nu.alpha) depends on lam only through its
@@ -126,15 +119,22 @@ def _weyl_order(n: int, J) -> int:
 def _orbit_roots(n: int, J: frozenset, k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """The J-dominant positive roots of degree k, one per W_J-orbit, as
     (coeffs, weight, (alpha, alpha)): weight |O| on Delta_J (support in J), else
-    2 mult(alpha) |O|, for |O| = |W_J| / |W_J'| with W_J' the stabilizer of alpha."""
+    2 mult(alpha) |O|, for |O| = |W_J| / |W_J'| with W_J' the stabilizer of alpha.
+    Only these are built, from end nodes outside J: x = alpha_i + ... + alpha_{j-1}
+    pairs negatively with h_{i-1} and h_{j mod n}, positively with h_i and h_{j-1},
+    and to 0 with the rest, so k delta + x is J-dominant iff i - 1 and j mod n
+    lie outside J, k delta - x iff i and j - 1 do, and k delta always is."""
+    K = [m for m in range(n) if m not in J]
+    roots = [((k,) * n, n - 1)] if k else []
+    roots += [((k,) * i + (k + s,) * (j - i) + (k,) * (n - j), 1) for a in K for b in K
+              for s, i, j in ((1, a + 1, b or n), (-1, a, b + 1)) if 0 < i < j and k + s >= 0]
     order = _weyl_order(n, J)
     out = []
-    for e, multiplicity in _roots_of_degree(n, k):
+    for e, multiplicity in roots:
         ce = cartan_apply(e)
-        if all(ce[j] >= 0 for j in J):
-            size = order // _weyl_order(n, {j for j in J if not ce[j]})
-            in_j = all(i in J for i, x in enumerate(e) if x)
-            out.append((e, size if in_j else 2 * multiplicity * size, 2 if any(ce) else 0))
+        size = order // _weyl_order(n, {j for j in J if not ce[j]})
+        in_j = all(i in J for i, x in enumerate(e) if x)
+        out.append((e, size if in_j else 2 * multiplicity * size, 2 if any(ce) else 0))
     return tuple(out)
 
 

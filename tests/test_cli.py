@@ -45,6 +45,16 @@ def test_mult_example(capsys):
     assert json.loads(out) == {"multiplicity": 2}
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_mult_at_rank_800(capsys, d):
+    # Frenkel-Kac: mult(Lambda_0 - d delta) is the number of 799-coloured
+    # partitions of d, 799 and 320,399
+    w, v = ",".join(["1"] + ["0"] * 799), ",".join([str(d)] * 800)
+    code, out, _ = run_cli(capsys, "mult", "-n", "800", "-w", w, "-v", v)
+    assert code == 0
+    assert json.loads(out) == {"multiplicity": coloured_partitions(799, d)}
+
+
 def test_mult_explicit_weight_json(capsys):
     lam = '{"n": 2, "w": [1, 0], "c": [0, 0]}'
     mu = '{"n": 2, "w": [1, 0], "c": [2, 2]}'

@@ -82,29 +82,39 @@ def test_positive_roots_match_the_norm_oracle(n):
         previous = roots
 
 
-ROOT_TABLE_SCRIPT = """
+LARGE_RANK_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from affsat import freudenthal, fundamental_weight
-lam = fundamental_weight(2, 0)
-freudenthal.freudenthal_multiplicity(lam, lam.lowered((160, 160)))
-tables = freudenthal._roots_of_degree
-degrees = tables.cache_info().currsize
-print(degrees, sum(len(tables(2, k)) for k in range(degrees)), tables.cache_info().currsize)
+calls, tables = [], freudenthal._orbit_roots
+cartan_apply = freudenthal.cartan_apply
+freudenthal.cartan_apply = lambda e: calls.append(e) or cartan_apply(e)
+keys = set()
+
+def recorder(n, J, k):
+    keys.add((n, J, k))
+    return tables(n, J, k)
+
+freudenthal._orbit_roots = recorder
+assert freudenthal.multiplicity_at(fundamental_weight(500, 0), (1,) * 500) == 499
+print(len(calls), len(keys), sum(len(tables(*key)) for key in keys))
 """
 
 
-def test_root_tables_grow_linearly_with_depth():
-    # Lambda_0 - 160 delta at n = 2 keeps the tables of degree 0..160: one
-    # finite root, then delta-multiple, +alpha_1 and -alpha_1 per degree.
-    # The table count is read again after the roots are summed: reading
-    # the tables builds none.
+def test_a_large_rank_lookup_builds_only_the_roots_it_sums():
+    # Lambda_0 - delta at n = 500 has J = {1..499}: its sum reads the
+    # J-dominant roots theta (degree 0), delta and delta + theta (degree 1).
+    # A table of every root of those degrees would hold 374,251 roots and
+    # pair each with the Cartan matrix; here each root read is paired once,
+    # and the lookup pairs u itself twice.
     proc = subprocess.run(
-        [sys.executable, "-c", ROOT_TABLE_SCRIPT, str(ROOT / "src")],
+        [sys.executable, "-c", LARGE_RANK_SCRIPT, str(ROOT / "src")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["161", str(3 * 160 + 1), "161"]
+    calls, tables, roots = map(int, proc.stdout.split())
+    assert (tables, roots) == (2, 3)
+    assert calls <= 5
 
 
 ORBIT_TABLE_SCRIPT = """
@@ -131,7 +141,7 @@ def test_orbit_tables_grow_linearly_with_depth():
     # Every dominant Lambda_0 - d delta has J = {1..n-1}, so the recursion
     # keeps one table per degree 0..d, and W_J-orbit representatives only:
     # per degree k >= 1, k delta and one real root (at n = 2 k delta +
-    # alpha_1, against the three of _roots_of_degree), and at degree 0 one
+    # alpha_1, against the three roots of that degree), and at degree 0 one
     # finite root.
     proc = subprocess.run(
         [sys.executable, "-c", ORBIT_TABLE_SCRIPT, str(ROOT / "src")],
@@ -197,6 +207,34 @@ def test_orbit_tables_match_explicit_orbits(n):
             for k in range(3):
                 assert set(tables[k]) == {e for e in roots if e[0] == k
                                           and all(cartan_apply(e)[j] >= 0 for j in J)}, (J, k)
+
+
+def _filtered_orbit_roots(n, J, k, roots):
+    """_orbit_roots(n, J, k) as a filter of every root of degree k: the
+    J-dominant ones, each paired with the Cartan matrix for its orbit size."""
+    order = freudenthal._weyl_order(n, J)
+    out = []
+    for e, multiplicity in roots:
+        ce = cartan_apply(e)
+        if e[0] == k and all(ce[j] >= 0 for j in J):
+            size = order // freudenthal._weyl_order(n, {j for j in J if not ce[j]})
+            in_j = all(i in J for i, x in enumerate(e) if x)
+            out.append((e, size if in_j else 2 * multiplicity * size, 2 if any(ce) else 0))
+    return out
+
+
+def test_orbit_tables_equal_the_filtered_root_tables():
+    # every proper J at n <= 8 and degree <= 3, as multisets: 2,004 tables
+    cases = 0
+    for n in range(2, 9):
+        roots = positive_roots(n, 3)
+        for size in range(n):
+            for J in map(frozenset, itertools.combinations(range(n), size)):
+                for k in range(4):
+                    assert (sorted(freudenthal._orbit_roots(n, J, k))
+                            == sorted(_filtered_orbit_roots(n, J, k, roots))), (n, J, k)
+                    cases += 1
+    assert cases == 2004
 
 
 # Level <= 3 lambdas, every u in the box [0, b]^n: most weights below are
@@ -288,7 +326,7 @@ def test_reflection_symmetry():
     assert nondominant > 100
 
 
-@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12), (4, 8)])
+@pytest.mark.parametrize("n,depth", [(2, 30), (3, 12), (4, 8), (200, 3)])
 def test_frenkel_kac_level_one(n, depth):
     # mult(Lambda_j - d delta) is the number of (n-1)-coloured partitions of
     # d, and so is the multiplicity at each Weyl conjugate of that weight.
