@@ -29,14 +29,15 @@ word's factor ids, and lowers through the memo, because there the scan
 runs once per (node, residue): a tables list per node and a call per
 residue took about 0.4 s of the 1.8 s that generating the benchmark's 77
 seed-1 graph_cold graphs took (2 cores, Python 3.11.7).  Every f-edge adds
-1 to sum(c), so a child can only equal a node of the next level: a level is
-an id range deduped against itself, and no index of the whole graph is
-kept.  A finished graph keeps only its table's factors, not scans or memo.
+1 to sum(c), so a child can only equal another child of its level: a level's
+id words are deduped against themselves and kept only until the next level
+is made.  A finished graph keeps only its table's factors, not scans or memo.
 """
 
 from .errors import DomainError, ResourceCapError
 
 IMPL = "python"
+EMPTY_ENTRY = (0, 0, 0, 0)  # signature_scan's entry for every residue without a cell
 
 
 def signature_scan(parts, charge, n):
@@ -61,6 +62,7 @@ def signature_scan(parts, charge, n):
                 last_rem[res] = r
     return tuple(
         (eps[i], len(stacks[i]), stacks[i][0] if stacks[i] else 0, last_rem[i])
+        if eps[i] or stacks[i] else EMPTY_ENTRY
         for i in range(n)
     )
 
@@ -145,16 +147,16 @@ class FactorTable:
         return word[:pos] + ((charge, parts),) + word[pos + 1 :]
 
 
-def expand_level(level, words, cvecs, slots, budget, table, node_cap):
-    """Lower one BFS level, a range of node ids, in place; return the next.
+def expand_level(level, cvecs, slots, budget, table, node_cap):
+    """Lower one BFS level, a list of id words, and return the next one.
 
-    words are tuples of factor ids in table, and slots holds n edge slots
-    per node: slots[parent * n + i] is the child's node id, -1 while there
-    is no f_i-edge.  Each node of the level is lowered under every in-budget
-    f_i, residues ascending; a child not yet seen is appended with n empty
-    slots and its cvec, so the next level is range(level.stop, len(words)).
-    A child can only equal another child of this level (the module
-    docstring), so the dedup dict lives for this call.  Nodes of one cvec
+    The level's nodes are the last len(level) of cvecs, and slots holds n
+    edge slots per node: slots[parent * n + i] is the child's node id, -1
+    while there is no f_i-edge.  Each node of the level is lowered under
+    every in-budget f_i, residues ascending; a child not yet seen takes the
+    next node id, n empty slots and its cvec.  A child can only equal
+    another child of this level (the module docstring), so the next level
+    is the keys of this call's dedup dict, in id order.  Nodes of one cvec
     all lie in one level, so the children made under f_i from one parent
     cvec share one cvec tuple.  Reaching node_cap nodes raises
     ResourceCapError before the node is stored.
@@ -168,13 +170,13 @@ def expand_level(level, words, cvecs, slots, budget, table, node_cap):
     scans, lowered, factors, n = table.scans, table.lowered, table.factors, table.n
     seen = {}
     intern, find = table.intern, seen.get
-    empty = [-1] * n
+    empty = slots[-n:]  # the last node is not yet lowered: n empty slots, typed as slots
     residues = range(n)
-    rest = range(1, len(words[0]))
+    rest = range(1, len(level[0]))
     child_cvecs = {}
-    add_word, add_cvec = words.append, cvecs.append
-    for node_id in level:
-        word, c = words[node_id], cvecs[node_id]
+    add_cvec = cvecs.append
+    for node_id, word in enumerate(level, len(cvecs) - len(level)):
+        c = cvecs[node_id]
         base = node_id * n
         for i in residues:
             if c[i] >= budget[i]:
@@ -200,18 +202,17 @@ def expand_level(level, words, cvecs, slots, budget, table, node_cap):
             child = word[:pos_f] + (g,) + word[pos_f + 1 :] if rest else (g,)
             child_id = find(child)
             if child_id is None:
-                child_id = len(words)
+                child_id = len(cvecs)
                 if child_id >= node_cap:
                     raise ResourceCapError(node_cap, budget, child_id + 1)
                 seen[child] = child_id
-                add_word(child)
                 cc = child_cvecs.get((c, i))
                 if cc is None:
                     cc = child_cvecs[(c, i)] = c[:i] + (c[i] + 1,) + c[i + 1 :]
                 add_cvec(cc)
                 slots.extend(empty)
             slots[base + i] = child_id
-    return range(level.stop, len(words))
+    return list(seen)
 
 
 def residue_counts(parts, charge, n):

@@ -539,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    failure = None  # written after its except block, which frees the failed frames
     try:
         args = build_parser().parse_args(argv)
         doc, code = args.handler(args)
@@ -546,13 +547,13 @@ def main(argv=None) -> int:
         print(f"affsat: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ResourceCapError, MemoryError, OverflowError) as exc:
-        print(f"affsat: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_RESOURCE
+        failure = str(exc) or "out of memory"
     except ConsistencyError as exc:
         print(f"affsat: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        _write(doc)
+        if failure is None:
+            _write(doc)
     except BrokenPipeError:
         # The reader closed stdout early and wants no more.  stdout's
         # descriptor goes to os.devnull, so the interpreter's final flush of
@@ -561,7 +562,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     except MemoryError:
-        print("affsat: out of memory", file=sys.stderr)
+        del doc
+        failure = "out of memory"
+    if failure:
+        print(f"affsat: {failure}", file=sys.stderr)
         return EXIT_RESOURCE
     return code
 

@@ -20,12 +20,13 @@ purposes.  The signature rule runs only where a word is lowered or raised;
 a finished graph reads eps_i off its i-edges (CrystalGraph.eps).
 
 Generation works on words of factor ids: each build owns one
-kernels.FactorTable, and kernels.expand_level lowers a BFS level, an id
-range deduped against itself (the kernel module's docstring states that
-design and what a finished graph keeps).  Outside the BFS, tensor_eps_phi
-and apply_tensor_operator are FactorTable.scan and FactorTable.act on a
-fresh table.  A graph keeps its f-edges as flat slots, n per node
-(slots[node * n + i] is the f_i-child or -1); CrystalGraph.edges, the
+kernels.FactorTable; kernels.expand_level maps one BFS level's id words to
+the next's (the kernel module's docstring states that design and what a
+finished graph keeps), and each level extends the graph's columns, one
+list of factor ids per word position.  Outside the BFS, tensor_eps_phi and
+apply_tensor_operator are FactorTable.scan and FactorTable.act on a fresh
+table.  A graph keeps its f-edges as flat slots, an array('q') of n per
+node (slots[node * n + i] is the f_i-child or -1); CrystalGraph.edges, the
 read-only {(from, i): to} mapping of them, is built on first read, which no
 CLI command makes.  Nodes lowered under f_i from one cvec share one child
 cvec tuple.  The kernel module is imported directly; affsat._backend names
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import gc
 import json
+from array import array
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import cached_property
@@ -94,7 +96,6 @@ JSON_BLOCK_NODES = 4096
 # tuple of factor ids in a FactorTable.
 Factor = tuple[int, tuple[int, ...]]
 Word = tuple[Factor, ...]
-IdWord = tuple[int, ...]
 
 
 def canonical_charges(lam: Weight) -> tuple[int, ...]:
@@ -141,28 +142,28 @@ class CrystalGraph:
     """Truncated crystal graph: nodes reachable from the highest-weight word
     by f-edges whose lowering stays within the budget.
 
-    Nodes are id words over factors, the build FactorTable's (charge, parts)
-    factors by id; words materializes them on first use.  slots holds the
-    f-edges, n per node: slots[from * n + i] is the f_i-child of from, or -1
-    where there is none."""
+    columns[k][node] is the id of node's factor at word position k among
+    factors, the build FactorTable's (charge, parts) factors; words
+    materializes them on first use.  slots holds the f-edges, n per node:
+    slots[from * n + i] is the f_i-child of from, or -1 where there is none."""
 
     def __init__(self, lam: Weight, budget: tuple[int, ...], factors: list[Factor],
-                 id_words: list[IdWord], cvecs: list[tuple[int, ...]], slots: list[int]):
+                 columns: list[list[int]], cvecs: list[tuple[int, ...]], slots: array):
         self.lam = lam
         self.n = lam.n
         self.budget = budget
         self.factors = factors
-        self.id_words = id_words
+        self.columns = columns
         self.cvecs = cvecs
         self.slots = slots
 
     def __len__(self) -> int:
-        return len(self.id_words)
+        return len(self.cvecs)
 
     @cached_property
     def words(self) -> list[Word]:
         factors = self.factors
-        return [tuple([factors[f] for f in word]) for word in self.id_words]
+        return [tuple([factors[f] for f in word]) for word in zip(*self.columns)]
 
     @cached_property
     def edges(self) -> MappingProxyType:
@@ -172,7 +173,7 @@ class CrystalGraph:
         return MappingProxyType({divmod(k, n): b for k, b in enumerate(self.slots) if b >= 0})
 
     def node(self, node_id: int) -> CrystalNode:
-        return CrystalNode(self.n, tuple(map(self.factors.__getitem__, self.id_words[node_id])))
+        return CrystalNode(self.n, tuple([self.factors[col[node_id]] for col in self.columns]))
 
     def weight_of(self, node_id: int) -> Weight:
         return self.lam.lowered(self.cvecs[node_id])
@@ -188,7 +189,7 @@ class CrystalGraph:
         the budget.  A child's id exceeds its parent's, so one pass over the
         i-slots in node order finishes a parent's value before its child's.
         """
-        eps = [0] * len(self.id_words)
+        eps = [0] * len(self)
         for a, b in enumerate(self.slots[i % self.n :: self.n]):
             if b >= 0:
                 eps[b] = eps[a] + 1
@@ -225,17 +226,15 @@ class CrystalGraph:
         # The charge at each word position is the same in every word, so
         # words order as the tuples of their factors' ranks: one stable sort
         # per word position, last first, keyed by that position's ranks.
-        coded = self.id_words
         factors = self.factors
         rank = [0] * len(factors)
         for r, k in enumerate(sorted(range(len(factors)), key=factors.__getitem__)):
             rank[k] = r
         # order and relabel share one int object per node id, not one each
-        ids = list(range(len(coded)))
+        ids = list(range(len(self)))
         order = ids
-        for k in reversed(range(len(coded[0]))):
-            column = [rank[word[k]] for word in coded]
-            order = sorted(order, key=column.__getitem__)
+        for column in reversed(self.columns):
+            order = sorted(order, key=[rank[f] for f in column].__getitem__)
         relabel = ids.copy()
         for new, old in zip(ids, order):
             relabel[old] = new
@@ -243,7 +242,7 @@ class CrystalGraph:
 
     def _blocks(self, order: list[int], relabel: list[int]) -> Iterator[str]:
         """json_blocks' blocks, nodes numbered by order and relabel."""
-        coded, n, slots, cvecs = self.id_words, self.n, self.slots, self.cvecs
+        columns, n, slots, cvecs = self.columns, self.n, self.slots, self.cvecs
         size = JSON_BLOCK_NODES
         spans = range(0, len(order), size)
         residues = range(n)
@@ -272,15 +271,15 @@ class CrystalGraph:
         # a node record's % arguments are its id, its weight text and one
         # factor text per word position, each slice-assigned from one
         # comprehension over the block
-        width = 2 + len(coded[0])
+        width = 2 + len(columns)
         record = '{"id":%d,"weight":%s,"word":[' + ",".join(["%s"] * (width - 2)) + "]}"
         for start in spans:
             block = order[start : start + size]
             node_args = [None] * (width * len(block))
             node_args[::width] = range(start, start + len(block))
             node_args[1::width] = [weight_text[cvecs[old]] for old in block]
-            for pos in range(2, width):
-                node_args[pos::width] = [factor_text[coded[old][pos - 2]] for old in block]
+            for pos, column in enumerate(columns, 2):
+                node_args[pos::width] = [factor_text[column[old]] for old in block]
             nodes = ",".join([record] * len(block))
             yield ("," if start else "") + nodes % tuple(node_args)
         yield "]}"
@@ -316,24 +315,25 @@ def generate_crystal(lam: Weight, budget, *, node_cap: int = DEFAULT_NODE_CAP) -
     budget = validate_budget(n, budget)
     table = kernels.FactorTable(n)
 
-    hw: IdWord = tuple(table.intern((ch, ())) for ch in charges)
-    words: list[IdWord] = [hw]
+    level = [tuple(table.intern((ch, ())) for ch in charges)]
+    columns = [[f] for f in level[0]]
     cvecs: list[tuple[int, ...]] = [(0,) * n]
-    slots = [-1] * n
+    slots = array("q", [-1] * n)
 
     # Nothing the BFS allocates can form a cycle (tuples and lists of ints,
     # dicts of them), so a collector pass during it would free nothing.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        level = range(1)
         while level:
-            level = kernels.expand_level(level, words, cvecs, slots, budget, table, node_cap)
+            level = kernels.expand_level(level, cvecs, slots, budget, table, node_cap)
+            for column, ids in zip(columns, zip(*level)):
+                column.extend(ids)
     finally:
         if enabled:
             gc.enable()
 
-    return CrystalGraph(lam, budget, table.factors, words, cvecs, slots)
+    return CrystalGraph(lam, budget, table.factors, columns, cvecs, slots)
 
 
 def weight_multiplicity(lam: Weight, mu: Weight) -> int:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -558,16 +559,53 @@ def test_a_reader_that_closes_early_ends_crystal_quietly(lam, depth, head):
     assert (proc.wait(timeout=60), err) == (0, b"")
 
 
+class _Held:
+    """An object that a command running out of memory holds in its frame."""
+
+
+def _freed_before_stderr(monkeypatch):
+    """A list for weak references to _Held objects; stderr asserts that each
+    is dead when the CLI writes to it."""
+    refs = []
+    stderr = sys.stderr
+
+    class Stderr:
+        def write(self, text):
+            assert all(ref() is None for ref in refs), "the failed frames are still held"
+            return stderr.write(text)
+
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    return refs
+
+
 def test_memory_error_while_writing_exits_3(capsys, monkeypatch):
+    # out of memory in the blocks, or in stdout while the blocks wait
+    # suspended: either way the blocks' frame, which holds an object, is freed
+    # and the document dropped before the line is written
     from affsat import crystal
 
-    def exhausted(self, *args):
-        yield '{"budget":[2,2],"edges":['
-        raise MemoryError
+    refs = _freed_before_stderr(monkeypatch)
+    stdout = sys.stdout
 
-    monkeypatch.setattr(crystal.CrystalGraph, "_blocks", exhausted)
-    assert run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "2") == (
-        3, '{"budget":[2,2],"edges":[', "affsat: out of memory\n")
+    class Stdout:
+        def write(self, text):
+            if text == "]}":
+                raise MemoryError
+            return stdout.write(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    for suspended in (False, True):
+        def blocks(self, *args):
+            held = _Held()
+            refs.append(weakref.ref(held))
+            yield '{"budget":[2,2],"edges":['
+            if not suspended:
+                raise MemoryError
+            yield "]}"
+
+        monkeypatch.setattr(crystal.CrystalGraph, "_blocks", blocks)
+        assert run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "2") == (
+            3, '{"budget":[2,2],"edges":[', "affsat: out of memory\n"), suspended
 
 
 @pytest.mark.parametrize("argv", [
@@ -659,9 +697,15 @@ def test_branch_answers_without_a_graph(capsys, monkeypatch):
 
 
 def test_memory_error_exit(capsys, monkeypatch):
+    # the failing build's frame holds an object, freed before the line is
+    # written
     from affsat import crystal
 
+    refs = _freed_before_stderr(monkeypatch)
+
     def exhausted(*args, **kwargs):
+        held = _Held()
+        refs.append(weakref.ref(held))
         raise MemoryError
 
     monkeypatch.setattr(crystal, "generate_crystal", exhausted)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -403,6 +404,21 @@ def test_generate_crystal_restores_collector_state(monkeypatch):
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen and not any(seen)
+
+
+def test_graph_retains_under_135_bytes_per_node():
+    # the reference graph keeps one list entry per node and word position, a
+    # cvec it shares with its level and n machine-word slots: 88 bytes a node.
+    # A tuple per id word and an int per slot kept 157
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = generate_crystal(Weight(3, (1, 1, 0), (0, 0, 0)), (8, 8, 8))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 20471
+    assert retained / len(g) < 135, retained / len(g)
 
 
 @pytest.mark.parametrize("n, w, budget", [

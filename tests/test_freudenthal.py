@@ -456,7 +456,7 @@ def test_shifted_tables_match_the_crystal(monkeypatch, fresh_memo, n):
             assert freudenthal.box_multiplicities(other, box) == want, (other, box)
             monkeypatch.setattr(freudenthal, "_evaluate", evaluate)
             shifted = generate_crystal(other, box)
-            for field in ("factors", "id_words", "cvecs", "slots"):
+            for field in ("factors", "columns", "cvecs", "slots"):
                 assert getattr(shifted, field) == getattr(graph, field), (top, other, field)
 
 

@@ -30,26 +30,44 @@ def test_add_remove_cells():
     assert kernels.remove_cell((1,), 1) == ()
 
 
+def _boundary(parts, charge, n):
+    """Addable and removable cells of each residue, counted row by row."""
+    rows = len(parts)
+    addable = [0] * n
+    removable = [0] * n
+    for r in range(1, rows + 2):
+        row_len = parts[r - 1] if r <= rows else 0
+        if r == 1 or parts[r - 2] > row_len:
+            addable[(row_len + 1 - r + charge) % n] += 1
+        if r <= rows and row_len > (parts[r] if r < rows else 0):
+            removable[(row_len - r + charge) % n] += 1
+    return addable, removable
+
+
 def test_scan_counts_match_boundary():
     """phi - eps equals addables minus removables at each residue."""
     for parts in all_partitions(7):
-        rows = len(parts)
         for n in (2, 3):
             for charge in range(n):
-                addable = [0] * n
-                removable = [0] * n
-                for r in range(1, rows + 2):
-                    row_len = parts[r - 1] if r <= rows else 0
-                    if r == 1 or parts[r - 2] > row_len:
-                        addable[(row_len + 1 - r + charge) % n] += 1
-                    if r <= rows and row_len > (parts[r] if r < rows else 0):
-                        removable[(row_len - r + charge) % n] += 1
+                addable, removable = _boundary(parts, charge, n)
                 scan = kernels.signature_scan(parts, charge, n)
                 for i in range(n):
                     eps, phi, add_row, rem_row = scan[i]
                     assert phi - eps == addable[i] - removable[i]
                     assert (add_row > 0) == (phi > 0)
                     assert (rem_row > 0) == (eps > 0)
+
+
+def test_scan_shares_its_empty_entry():
+    # at n = 200 a small partition has a cell at few residues: every other
+    # residue's entry is one shared object, not a 4-tuple each
+    n = 200
+    for parts in all_partitions(7):
+        for charge in (0, 100, 199):
+            addable, removable = _boundary(parts, charge, n)
+            with_a_cell = sum(a + r > 0 for a, r in zip(addable, removable))
+            scan = kernels.signature_scan(parts, charge, n)
+            assert len(set(map(id, scan))) <= with_a_cell + 1, (parts, charge)
 
 
 def _reference_word_scan(tables, i):
