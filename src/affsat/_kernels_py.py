@@ -15,17 +15,16 @@ with addable = open), and reports per residue:
 
 with 0 standing for "none".  Adding the good addable is the lowering operator
 of the level-1 crystal on partitions; removing the good removable raises.
-A word is a tuple of factor ids in a FactorTable, which interns each
-(charge, parts) factor once and memoizes its scan and its lowerings:
-FactorTable.intern is the one place scan tables are filled.  word_scan
-cancels the scans across a word in one pass and reads off both operators.
-It serves the API edge: FactorTable.scan runs it on a (charge, parts) word
-and FactorTable.act lowers or raises the word by it, the one place e_i and
-f_i act on a word outside the BFS (the level-1 Fock crystal is its
-one-factor case).  The tier-1 reference BFS holds the engine to it.
+word_scan cancels the scans across a word in one pass and reads off both
+operators: scan_word runs it on a (charge, parts) word and act_on_word
+lowers or raises the word by it, the one place e_i and f_i act on a word
+outside the BFS (the level-1 Fock crystal is its one-factor case).  The
+tier-1 reference BFS holds the engine to it.
 
-expand_level runs only the lowering half of word_scan, inline over each
-word's factor ids, and lowers through the memo, because there the scan
+expand_level works on words of factor ids in a FactorTable, which interns
+each (charge, parts) factor once and memoizes its scan and its lowerings.
+It runs only the lowering half of word_scan, inline over each word's
+factor ids, and lowers through the memo, because there the scan
 runs once per (node, residue): a tables list per node and a call per
 residue took about 0.4 s of the 1.8 s that generating the benchmark's 77
 seed-1 graph_cold graphs took (2 cores, Python 3.11.7).  Every f-edge adds
@@ -100,6 +99,26 @@ def word_scan(tables, i):
     return eps, phi, pos_f, pos_e, add_row, rem_row
 
 
+def scan_word(word, i, n):
+    """word_scan of a (charge, parts) word at residue i (mod n)."""
+    return word_scan([signature_scan(parts, charge, n) for charge, parts in word], i % n)
+
+
+def act_on_word(word, i, direction, n):
+    """f_i (direction="lower") or e_i (direction="raise") on a (charge, parts)
+    word; None at a string end."""
+    if direction not in ("lower", "raise"):
+        raise DomainError(f'direction must be "lower" or "raise", got {direction!r}')
+    _, _, pos_f, pos_e, add_row, rem_row = scan_word(word, i, n)
+    lower = direction == "lower"
+    pos = pos_f if lower else pos_e
+    if pos < 0:
+        return None
+    charge, parts = word[pos]
+    parts = add_cell(parts, add_row) if lower else remove_cell(parts, rem_row)
+    return word[:pos] + ((charge, parts),) + word[pos + 1 :]
+
+
 class FactorTable:
     """Interned (charge, parts) factors of one generation, keyed by id.
 
@@ -107,8 +126,7 @@ class FactorTable:
     once, when intern first sees the factor: the only place scans are
     stored) and lowered[id][i] the id of the factor with its good i-addable
     cell added, None until first asked for.  The good addable row depends
-    only on the factor, so the lowered memo is exact.  scan and act apply
-    the signature rule to (charge, parts) words, interning their factors.
+    only on the factor, so the lowered memo is exact.
     """
 
     def __init__(self, n):
@@ -127,24 +145,6 @@ class FactorTable:
             self.scans.append(signature_scan(factor[1], factor[0], self.n))
             self.lowered.append([None] * self.n)
         return fid
-
-    def scan(self, word, i):
-        """word_scan of a (charge, parts) word at residue i (mod n)."""
-        return word_scan([self.scans[self.intern(f)] for f in word], i % self.n)
-
-    def act(self, word, i, direction):
-        """f_i (direction="lower") or e_i (direction="raise") on a (charge, parts)
-        word; None at a string end."""
-        if direction not in ("lower", "raise"):
-            raise DomainError(f'direction must be "lower" or "raise", got {direction!r}')
-        _, _, pos_f, pos_e, add_row, rem_row = self.scan(word, i)
-        lower = direction == "lower"
-        pos = pos_f if lower else pos_e
-        if pos < 0:
-            return None
-        charge, parts = word[pos]
-        parts = add_cell(parts, add_row) if lower else remove_cell(parts, rem_row)
-        return word[:pos] + ((charge, parts),) + word[pos + 1 :]
 
 
 def expand_level(level, cvecs, slots, budget, table, node_cap):

@@ -24,9 +24,9 @@ kernels.FactorTable; kernels.expand_level maps one BFS level's id words to
 the next's (the kernel module's docstring states that design and what a
 finished graph keeps), and each level extends the graph's columns, one
 list of factor ids per word position.  Outside the BFS, tensor_eps_phi and
-apply_tensor_operator are FactorTable.scan and FactorTable.act on a fresh
-table.  A graph keeps its f-edges as flat slots, an array('q') of n per
-node (slots[node * n + i] is the f_i-child or -1); CrystalGraph.edges, the
+apply_tensor_operator are kernels.scan_word and kernels.act_on_word.  A
+graph keeps its f-edges as flat slots, an array('q') of n per node
+(slots[node * n + i] is the f_i-child or -1); CrystalGraph.edges, the
 read-only {(from, i): to} mapping of them, is built on first read, which no
 CLI command makes.  Nodes lowered under f_i from one cvec share one child
 cvec tuple.  The kernel module is imported directly; affsat._backend names
@@ -86,7 +86,6 @@ from .cartan import (
     weyl_orbit_lowerings,
 )
 from .errors import ConsistencyError, LevelCapError
-from .fock import ChargedPartition
 
 # Nodes per block of the canonical document (CrystalGraph.json_blocks): each
 # block is one % format over this many nodes, or over their edges.
@@ -111,6 +110,8 @@ class CrystalNode(namedtuple("CrystalNode", "n word")):
 
     @property
     def factors(self) -> tuple[ChargedPartition, ...]:
+        from .fock import ChargedPartition
+
         return tuple(ChargedPartition(parts, charge, self.n) for charge, parts in self.word)
 
     def lowering_counts(self) -> tuple[int, ...]:
@@ -128,13 +129,13 @@ TensorEpsPhi = namedtuple("TensorEpsPhi", "eps phi position_f position_e")
 
 def tensor_eps_phi(node: CrystalNode, i: int) -> TensorEpsPhi:
     """Totals eps_i, phi_i of a word and where f_i / e_i would act."""
-    eps, phi, pos_f, pos_e, _, _ = kernels.FactorTable(node.n).scan(node.word, i)
+    eps, phi, pos_f, pos_e, _, _ = kernels.scan_word(node.word, i, node.n)
     return TensorEpsPhi(eps, phi, pos_f if pos_f >= 0 else None, pos_e if pos_e >= 0 else None)
 
 
 def apply_tensor_operator(node: CrystalNode, i: int, direction: str) -> CrystalNode | None:
     """Word-level f_i / e_i; None at a string end."""
-    word = kernels.FactorTable(node.n).act(node.word, i, direction)
+    word = kernels.act_on_word(node.word, i, direction, node.n)
     return None if word is None else CrystalNode(node.n, word)
 
 
@@ -218,31 +219,27 @@ class CrystalGraph:
                        "word":[{"charge":..,"parts":[..]},..]},..]}
 
         A node's weight is lambda lowered by its cvec.  The node order is
-        computed here, before the first block; each block then comes from
-        one % format over JSON_BLOCK_NODES nodes, or over their edges, so
-        no block splits a record and only one block's arguments are held
-        at a time.
+        computed before the first block, and the sort's own lists are
+        dropped before it is yielded; each block then comes from one %
+        format over JSON_BLOCK_NODES nodes, or over their edges, so no block
+        splits a record and only one block's arguments are held at a time.
         """
+        factors, columns, n, slots, cvecs = self.factors, self.columns, self.n, self.slots, self.cvecs
         # The charge at each word position is the same in every word, so
         # words order as the tuples of their factors' ranks: one stable sort
         # per word position, last first, keyed by that position's ranks.
-        factors = self.factors
         rank = [0] * len(factors)
         for r, k in enumerate(sorted(range(len(factors)), key=factors.__getitem__)):
             rank[k] = r
         # order and relabel share one int object per node id, not one each
         ids = list(range(len(self)))
         order = ids
-        for column in reversed(self.columns):
+        for column in reversed(columns):
             order = sorted(order, key=[rank[f] for f in column].__getitem__)
         relabel = ids.copy()
         for new, old in zip(ids, order):
             relabel[old] = new
-        return self._blocks(order, relabel)
-
-    def _blocks(self, order: list[int], relabel: list[int]) -> Iterator[str]:
-        """json_blocks' blocks, nodes numbered by order and relabel."""
-        columns, n, slots, cvecs = self.columns, self.n, self.slots, self.cvecs
+        del rank, ids
         size = JSON_BLOCK_NODES
         spans = range(0, len(order), size)
         residues = range(n)
@@ -263,7 +260,7 @@ class CrystalGraph:
         yield f'],"lambda":{canonical_dumps(self.lam.to_json())},"nodes":['
 
         factor_text = [f'{{"charge":{charge},"parts":{_ints(parts)}}}'
-                       for charge, parts in self.factors]
+                       for charge, parts in factors]
         lam_c = self.lam.c
         weight_tail = f',"n":{n},"w":{canonical_dumps(list(self.lam.w))}}}'
         weight_text = {cvec: '{"c":' + _ints([a + b for a, b in zip(lam_c, cvec)]) + weight_tail

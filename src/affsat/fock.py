@@ -9,7 +9,7 @@ the unique highest-weight node.
 
 Good cells come from the signature rule in affsat._kernels_py; see that
 module for the reading-order convention.  e_i and f_i are
-kernels.FactorTable.act on the one-factor word ((charge, parts),), the same
+kernels.act_on_word on the one-factor word ((charge, parts),), the same
 rule the higher-level crystals apply to longer words.  Which convention is
 used does not matter up to isomorphism, and the test suite enforces the
 crystal axioms rather than a particular picture.
@@ -122,7 +122,7 @@ def eps_phi(b: ChargedPartition, i: int) -> EpsPhi:
 
 def apply_root_operator(b: ChargedPartition, i: int, direction: str) -> ChargedPartition | None:
     """f_i (direction="lower") or e_i (direction="raise"); None at a string end."""
-    word = kernels.FactorTable(b.n).act(((b.charge, b.parts),), i, direction)
+    word = kernels.act_on_word(((b.charge, b.parts),), i, direction, b.n)
     return None if word is None else ChargedPartition(word[0][1], b.charge, b.n)
 
 

@@ -213,6 +213,11 @@ def _entry(lam: Weight) -> _Entry:
     return entry
 
 
+def _check_length(plam: tuple[int, ...], u: Sequence[int]) -> None:
+    if len(u) != len(plam):
+        raise DomainError(f"expected {len(plam)} lowering coefficients, got {len(u)}")
+
+
 def multiplicity_at(lam: Weight, u: tuple[int, ...] | None) -> int:
     """Multiplicity of lam - sum_i u_i alpha_i in the highest-weight module
     for lambda: the one memo lookup every query makes.
@@ -220,7 +225,9 @@ def multiplicity_at(lam: Weight, u: tuple[int, ...] | None) -> int:
     Zero when u is None (off the root lattice) or when the dominant
     representative lam - nu.alpha of that weight is not below lambda.  lam
     must be dominant of level >= 1, checked on the first lookup of each
-    label, even when a delta-shift of it already filled its module.  A memo
+    label, even when a delta-shift of it already filled its module.  A u
+    whose length is not lam's rank raises DomainError, checked only once
+    the first memo lookup misses (every key has that length).  A memo
     miss at nu with min(nu) >= DEFAULT_NODE_CAP raises RecursionCapError.
     """
     plam, memo = _entry(lam)
@@ -229,6 +236,7 @@ def multiplicity_at(lam: Weight, u: tuple[int, ...] | None) -> int:
     m = memo.get(u)  # the memo holds only dominant weights: a hit needs no reduction
     if m is not None:
         return m
+    _check_length(plam, u)
     nu = dominant_lowering(plam, u)
     if nu is None:
         return 0
@@ -257,9 +265,11 @@ def box_multiplicities(lam: Weight, box: Sequence[int]) -> list[int]:
     pairing x at node i, s_i mu = mu - x.alpha_i has the same multiplicity
     and lowering coefficient c_i + x < c_i, so it is the entry x * stride_i
     back, already written; 0 when c_i + x < 0, as s_i mu is then not below
-    lam.  So no point runs a reflection loop.
+    lam.  So no point runs a reflection loop.  A box whose length is not
+    lam's rank raises DomainError.
     """
     plam, memo = _entry(lam)
+    _check_length(plam, box)
     strides = box_strides(box)
     out: list[int] = []
     for c, q in box_pairings(plam, box):

@@ -595,7 +595,7 @@ def test_memory_error_while_writing_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(sys, "stdout", Stdout())
     for suspended in (False, True):
-        def blocks(self, *args):
+        def blocks(self):
             held = _Held()
             refs.append(weakref.ref(held))
             yield '{"budget":[2,2],"edges":['
@@ -603,7 +603,7 @@ def test_memory_error_while_writing_exits_3(capsys, monkeypatch):
                 raise MemoryError
             yield "]}"
 
-        monkeypatch.setattr(crystal.CrystalGraph, "_blocks", blocks)
+        monkeypatch.setattr(crystal.CrystalGraph, "json_blocks", blocks)
         assert run_cli(capsys, "crystal", "-n", "2", "-w", "1,0", "--depth", "2") == (
             3, '{"budget":[2,2],"edges":[', "affsat: out of memory\n"), suspended
 

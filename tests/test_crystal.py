@@ -174,11 +174,10 @@ def test_closure_within_budget():
     lam = Weight(2, (1, 1), (0, 0))
     budget = (3, 2)
     g = generate_crystal(lam, budget)
-    table = kernels.FactorTable(2)
     for node_id, word in enumerate(g.words):
         c = g.cvecs[node_id]
         for i in range(2):
-            _, phi, _, _, _, _ = table.scan(word, i)
+            _, phi, _, _, _, _ = kernels.scan_word(word, i, 2)
             in_budget = c[i] + 1 <= budget[i]
             has_edge = (node_id, i) in g.edges
             assert has_edge == (phi > 0 and in_budget)
@@ -295,12 +294,11 @@ def test_eps_is_the_raising_string_length(n, w, budget):
     # levels 1, 2 and 3: eps_i read off the i-slots against e_i applied
     # until it stops
     g = generate_crystal(Weight(n, w, (0,) * n), budget)
-    table = kernels.FactorTable(n)
     for i in range(n):
         eps = g.eps(i)
         for node_id, word in enumerate(g.words):
             length = 0
-            while (word := table.act(word, i, "raise")) is not None:
+            while (word := kernels.act_on_word(word, i, "raise", n)) is not None:
                 length += 1
             assert eps[node_id] == length, (node_id, i)
         assert g.eps(i + n) == eps
@@ -581,14 +579,13 @@ def _pair_scan_highest_weights(lam1, lam2, budget):
     g1 = generate_crystal(lam1, budget)
     g2 = generate_crystal(lam2, budget)
     base = lam1 + lam2
-    table = kernels.FactorTable(n)
     out = {}
     for w1, c1 in zip(g1.words, g1.cvecs):
         for w2, c2 in zip(g2.words, g2.cvecs):
             total = tuple(a + b for a, b in zip(c1, c2))
             if any(t > b for t, b in zip(total, budget)):
                 continue
-            if all(table.scan(w1 + w2, i)[0] == 0 for i in range(n)):
+            if all(kernels.scan_word(w1 + w2, i, n)[0] == 0 for i in range(n)):
                 kappa = lowered(base, total)
                 out[kappa] = out.get(kappa, 0) + 1
     return out
@@ -836,6 +833,20 @@ def test_canonical_digest_hashes_the_blocks(monkeypatch):
     monkeypatch.setattr(crystal, "JSON_BLOCK_NODES", 3)
     for w, c, budget, _, digest in PINNED_DIGESTS:
         assert generate_crystal(Weight(len(w), w, c), budget).canonical_digest() == digest
+
+
+def test_blocks_hold_no_sort_state_once_the_first_block_is_out():
+    # the factor ranks and the list of node ids only serve the sort: after
+    # the first block the serializer's own lists are the order and its inverse
+    g = generate_crystal(Weight(3, (1, 1, 0), (0, 0, 0)), (8, 8, 8))
+    blocks = g.json_blocks()
+    assert next(blocks) == '{"budget":[8,8,8],"edges":['
+    held = blocks.gi_frame.f_locals
+    graph_lists = [*vars(g).values(), *g.columns]
+    own = sorted(name for name, value in held.items() if isinstance(value, list)
+                 and not any(value is v for v in graph_lists))
+    assert own == ["order", "relabel"], own
+    assert [held["relabel"][old] for old in held["order"]] == list(range(len(g)))
 
 
 def _reference_json_str(g):

@@ -404,15 +404,17 @@ def test_distinct_pairings_do_not_share_a_module(fresh_memo):
 
 
 def test_a_bad_label_raises_before_it_enters_either_table(fresh_memo):
-    # a level-0 label and a non-dominant one raise from the gate, after a
-    # good label has made its module, and leave both tables as they were
+    # a level-0 label and a non-dominant one raise from the gate, and a vector
+    # of the wrong length from the lookup, after a good label has made its
+    # module, and leave both tables as they were
     good = Weight(2, (1, 0), (0, 0))
     freudenthal.multiplicity_at(good, (1, 1))
-    for lam, error in [(Weight(2, (0, 0), (0, 0)), NoHighestWeightError),
-                       (Weight(2, (1, 0), (1, 0)), DomainError)]:
+    for lam, u, error in [(Weight(2, (0, 0), (0, 0)), (1, 1), NoHighestWeightError),
+                          (Weight(2, (1, 0), (1, 0)), (1, 1), DomainError),
+                          (good, (1, 1, 1), DomainError), (good, (2,), DomainError)]:
         for call in (freudenthal.multiplicity_at, freudenthal.box_multiplicities):
             with pytest.raises(error):
-                call(lam, (1, 1))
+                call(lam, u)
     assert list(freudenthal._memo) == [good]
     assert list(freudenthal._modules) == [(1, 0)]
 

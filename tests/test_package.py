@@ -60,7 +60,8 @@ assert not loaded, loaded
 assert affsat_modules() == ["affsat", "affsat.cartan", "affsat.cli", "affsat.errors",
                             "affsat.freudenthal"], affsat_modules()
 doc = run("crystal", "-n", "3", "-w", "1,1,0", "--depth", "4", "--cache-dir", cache_dir)
-assert {"affsat.crystal", "affsat.fock", "affsat._kernels_py", "hashlib"} <= set(sys.modules)
+assert {"affsat.crystal", "affsat._kernels_py", "hashlib"} <= set(sys.modules)
+assert "affsat.fock" not in sys.modules
 assert "affsat._backend" not in sys.modules
 assert "affsat.satake" not in sys.modules
 leaves = run("leaves", "-n", "3", "-w", "1,1,0", "-v", "2,2,2")
@@ -211,8 +212,8 @@ def _uses(module: str, names: set[str]) -> set[str]:
 
 
 def test_only_kernels_applies_the_signature_rule_to_words():
-    """FactorTable.scan and FactorTable.act are the one home of e_i and f_i on a
-    word: no module but _kernels_py touches add_cell, remove_cell or word_scan."""
+    """scan_word and act_on_word are the one home of e_i and f_i on a word: no
+    module but _kernels_py touches add_cell, remove_cell or word_scan."""
     modules = [path.stem for path in sorted((ROOT / "src" / "affsat").glob("*.py"))]
     names = {"add_cell", "remove_cell", "word_scan"}
     assert _uses("_kernels_py", names) == names
